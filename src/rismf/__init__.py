@@ -60,12 +60,15 @@ from .multiuser import (
 from .baselines import LrResult, RankOneFactors, lr_rankone, ls_full
 from .experiments import (
     CSV_HEADER,
+    ESTIMATORS,
     ExperimentSpec,
     ResultRecord,
     nmse,
     overhead_table,
     read_records,
     run_sweep,
+    simulate_downlink,
+    simulate_uplink,
     spectral_efficiency,
     trial_seed,
     write_results,

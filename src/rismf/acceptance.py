@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import lr_rankone, ls_full
+from .baselines import ls_full
 from .channel import (
     SystemDims,
     array_response,
@@ -23,9 +23,12 @@ from .channel import (
     sample_channel,
 )
 from .experiments import (
+    ESTIMATORS,
     ExperimentSpec,
     nmse,
     run_sweep,
+    simulate_downlink,
+    simulate_uplink,
     spectral_efficiency,
     trial_seed,
     write_results,
@@ -33,13 +36,10 @@ from .experiments import (
 from .mf import MfConfig, estimate_single_user, gd_gradients, objective
 from .multiuser import estimate_multi_user, predicted_mse
 from .signals import (
-    ObservationSet,
     dft_phase_schedule,
     downlink_observe,
     make_pilot_schedule,
-    make_uplink_schedule,
     random_phase_schedule,
-    uplink_observe,
 )
 
 __all__ = ["CriterionResult", "CRITERIA", "run_criterion", "run_all"]
@@ -59,10 +59,7 @@ def _criterion_predicted_mse_empirical():
     total = 0.0
     for trial in range(n_trials):
         rng = _rng("predicted-mse", trial)
-        chan = sample_channel(dims, rng)
-        g_up = chan.g_uplink()
-        sched = make_uplink_schedule(dims)
-        obs = uplink_observe(g_up, chan.h_users, sched, noise_var, rng)
+        chan, g_up, sched, obs = simulate_uplink(dims, noise_var, rng, "dft")
         estimate = estimate_multi_user(obs, sched, psi_override=chan.psi)
         truth = cascaded_uplink(g_up, chan.h_users[0], psi=chan.psi).a_bar
         total += float(np.sum(np.abs(estimate.a_bar_hats[0] - truth) ** 2))
@@ -106,10 +103,7 @@ def _criterion_noiseless_exactness():
     values = []
     for trial in range(100):
         rng = _rng("noiseless-exact", trial)
-        chan = sample_channel(dims, rng)
-        sched = make_pilot_schedule(dims, rng)
-        cascade = cascaded_downlink(chan.h_r, chan.g_matrix, psi=chan.psi)
-        obs = downlink_observe(cascade, sched, 0.0)
+        cascade, sched, obs = simulate_downlink(dims, 0.0, rng, "random")
         result = estimate_single_user(obs, sched, config)
         value = nmse(cascade.h_e, result.h_e_hat)
         values.append(value)
@@ -170,10 +164,7 @@ def _criterion_gradients():
     worst = 0.0
     for trial in range(100):
         rng = _rng("gradients", trial)
-        chan = sample_channel(dims, rng)
-        sched = make_pilot_schedule(dims, rng)
-        cascade = cascaded_downlink(chan.h_r, chan.g_matrix, psi=chan.psi)
-        obs = downlink_observe(cascade, sched, 0.1, rng)
+        _, sched, obs = simulate_downlink(dims, 0.1, rng, "random")
         a_bar = (rng.standard_normal(dims.m_ris) + 1j * rng.standard_normal(dims.m_ris)) / np.sqrt(2)
         psi = rng.uniform()
         grad_re, grad_im, grad_psi = gd_gradients(a_bar, psi, obs, sched)
@@ -203,11 +194,7 @@ def _criterion_am_monotone():
     dims = SystemDims(n_bs=16, m_ris=32, k_pilots=64)
     worst = 0.0
     for trial in range(100):
-        rng = _rng("monotone", trial)
-        chan = sample_channel(dims, rng)
-        sched = make_pilot_schedule(dims, rng)
-        cascade = cascaded_downlink(chan.h_r, chan.g_matrix, psi=chan.psi)
-        obs = downlink_observe(cascade, sched, 1.0, rng)
+        _, sched, obs = simulate_downlink(dims, 1.0, _rng("monotone", trial), "random")
         result = estimate_single_user(obs, sched, MfConfig(solver="am"))
         history = np.asarray(result.objective_history)
         increases = history[1:] - history[:-1] * (1.0 + 1e-9)
@@ -232,17 +219,8 @@ def _criterion_estimator_ordering():
         dims_k = dataclasses.replace(dims, k_pilots=k, q_users=1, t_symbols=1)
         err, energy = 0.0, 0.0
         for trial in range(200):
-            rng = np.random.default_rng(trial_seed(_MASTER, name, 0, 0, trial))
-            chan = sample_channel(dims_k, rng)
-            sched = make_pilot_schedule(dims_k, rng, phase_design="random")
-            cascade = cascaded_downlink(chan.h_r, chan.g_matrix, psi=chan.psi)
-            obs = downlink_observe(cascade, sched, noise_var, rng)
-            if name == "MF_AM":
-                h_hat = estimate_single_user(obs, sched, MfConfig(solver="am")).h_e_hat
-            elif name == "LR":
-                h_hat = lr_rankone(obs, sched).h_e_hat
-            else:
-                h_hat = ls_full(obs, sched)
+            cascade, sched, obs = simulate_downlink(dims_k, noise_var, _rng(name, trial), "random")
+            h_hat = ESTIMATORS[name].estimate(obs, sched)
             err += float(np.sum(np.abs(h_hat - cascade.h_e) ** 2))
             energy += float(np.sum(np.abs(cascade.h_e) ** 2))
         agg[name] = err / energy
@@ -264,15 +242,10 @@ def _criterion_se_ordering():
         noise_var = 10.0 ** (-snr_db / 10.0)
         se = {"random": 0.0, "estimated": 0.0, "optimal": 0.0}
         for trial in range(n_trials):
-            rng = np.random.default_rng(
-                trial_seed(_MASTER, "se-sweep", snr_index, 0, trial)
-            )
-            chan = sample_channel(dims, rng)
-            sched = make_pilot_schedule(dims, rng)
-            cascade = cascaded_downlink(chan.h_r, chan.g_matrix, psi=chan.psi)
-            obs = downlink_observe(cascade, sched, noise_var, rng)
-            result = estimate_single_user(obs, sched, MfConfig(solver="am"))
-            se["estimated"] += spectral_efficiency(cascade.h_e, result.h_e_hat, noise_var)
+            rng = np.random.default_rng(trial_seed(_MASTER, "se-sweep", snr_index, 0, trial))
+            cascade, sched, obs = simulate_downlink(dims, noise_var, rng, "random")
+            h_hat = ESTIMATORS["MF_AM"].estimate(obs, sched)
+            se["estimated"] += spectral_efficiency(cascade.h_e, h_hat, noise_var)
             se["optimal"] += spectral_efficiency(cascade.h_e, None, noise_var, mode="optimal")
             se["random"] += spectral_efficiency(cascade.h_e, None, noise_var, mode="random", rng=rng)
         mean = {k: v / n_trials for k, v in se.items()}
@@ -300,10 +273,7 @@ def _criterion_pilot_scaling():
         err, energy = 0.0, 0.0
         for trial in range(200):
             rng = np.random.default_rng(trial_seed(_MASTER, "MF", 0, k_index, trial))
-            chan = sample_channel(dims_k, rng)
-            g_up = chan.g_uplink()
-            sched = make_uplink_schedule(dims_k, rng, phase_design="dft")
-            obs = uplink_observe(g_up, chan.h_users, sched, 0.1, rng)
+            chan, g_up, sched, obs = simulate_uplink(dims_k, 0.1, rng, "dft")
             estimate = estimate_multi_user(obs, sched)
             for q in range(dims.q_users):
                 truth = cascaded_uplink(g_up, chan.h_users[q], psi=chan.psi).h_e
@@ -321,10 +291,7 @@ def _criterion_pilot_scaling():
         total, count = 0.0, 0
         for trial in range(200):
             rng = np.random.default_rng(trial_seed(_MASTER, "angle-injected-mse", 0, k_index, trial))
-            chan = sample_channel(dims_k, rng)
-            g_up = chan.g_uplink()
-            sched = make_uplink_schedule(dims_k)
-            obs = uplink_observe(g_up, chan.h_users, sched, noise_var, rng)
+            chan, g_up, sched, obs = simulate_uplink(dims_k, noise_var, rng, "dft")
             estimate = estimate_multi_user(obs, sched, psi_override=chan.psi)
             for q in range(dims.q_users):
                 truth = cascaded_uplink(g_up, chan.h_users[q], psi=chan.psi).a_bar

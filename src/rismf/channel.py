@@ -104,7 +104,6 @@ class ChannelRealization:
     beta_br: complex
     g_matrix: np.ndarray
     h_users: np.ndarray
-    h_direct: np.ndarray | None = None
     paths: list[tuple[complex, float, float]] | None = None
 
     @property

@@ -76,8 +76,9 @@ def _print_summary(records):
     for estimator, snr_db, k in cells:
         values = [r.nmse for r in feasible
                   if (r.estimator, r.snr_db, r.k) == (estimator, snr_db, k)]
+        # the median: per-trial NMSE has no finite mean under the scalar fade
         print(f"  {estimator:6s} snr {snr_db:+6.1f} dB  K {k:5d}  "
-              f"mean NMSE {np.mean(values):.4e}  ({len(values)} trials)")
+              f"median NMSE {np.median(values):.4e}  ({len(values)} trials)")
 
 
 def _cmd_sweep(args, scenario: str) -> int:
@@ -98,11 +99,12 @@ def _cmd_overhead(args) -> int:
     else:
         dims = SystemDims(**_DEFAULT_DIMS)
     table = overhead_table(dims)
-    rows = [f"{name},{pilots}" for name, pilots in table.items()]
-    body = "estimator,min_pilots\n" + "\n".join(rows) + "\n"
+    if args.format == "json":
+        body = json.dumps(table, indent=1) + "\n"
+    else:
+        rows = [f"{name},{pilots}" for name, pilots in table.items()]
+        body = "estimator,min_pilots\n" + "\n".join(rows) + "\n"
     if args.out:
-        if args.format == "json":
-            body = json.dumps(table, indent=1) + "\n"
         with open(args.out, "w", encoding="ascii") as fh:
             fh.write(body)
         print(f"wrote {args.out}")

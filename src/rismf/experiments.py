@@ -6,8 +6,9 @@ import dataclasses
 import hashlib
 import json
 import math
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,31 +26,57 @@ from .multiuser import estimate_multi_user
 from .signals import downlink_observe, make_pilot_schedule, make_uplink_schedule, uplink_observe
 
 __all__ = [
+    "ESTIMATORS",
     "ExperimentSpec",
     "ResultRecord",
     "CSV_HEADER",
     "nmse",
     "spectral_efficiency",
     "overhead_table",
+    "simulate_downlink",
+    "simulate_uplink",
     "trial_seed",
     "run_sweep",
     "write_results",
     "read_records",
 ]
 
-SCENARIOS = ("single_user_downlink", "multi_user_uplink", "overhead_table")
-ESTIMATORS = ("MF_AM", "MF_GD", "LS", "LR")
-CSV_HEADER = "scenario,estimator,snr_db,k,trial,seed,nmse,se,wall_time_ms"
+SCENARIOS = ("single_user_downlink", "multi_user_uplink")
+CSV_HEADER = "scenario,estimator,snr_db,k,trial,seed,nmse,se"
 
-# Minimal training pilots per estimator; a sweep cell below its estimator's
-# minimum is recorded as infeasible rather than run.
-_MIN_PILOTS = {
-    "MF_AM": lambda n, m: m,
-    "MF_GD": lambda n, m: m,
-    "LS": lambda n, m: m * n,
-    "LR": lambda n, m: m + n,
-    "MF": lambda n, m: m,  # uplink two-stage method
+
+@dataclass(frozen=True)
+class Estimator:
+    """A registered estimator.
+
+    ``min_pilots(n_bs, m_ris)`` is the fewest training pilots it needs; a
+    sweep cell below it is recorded as infeasible rather than run.
+    ``estimate(obs, sched)`` returns the cascaded channel estimate.
+    """
+
+    min_pilots: Callable[[int, int], int]
+    estimate: Callable[..., np.ndarray]
+
+
+# The downlink estimators a single-user sweep may name, in default sweep
+# order. The bodies look the solvers up by module-global name at call time,
+# so rebinding those names (e.g. to instrument them) reaches every sweep.
+ESTIMATORS = {
+    "MF_AM": Estimator(
+        lambda n, m: m,
+        lambda obs, sched: estimate_single_user(obs, sched, MfConfig(solver="am")).h_e_hat,
+    ),
+    "MF_GD": Estimator(
+        lambda n, m: m,
+        lambda obs, sched: estimate_single_user(obs, sched, MfConfig(solver="gd")).h_e_hat,
+    ),
+    "LS": Estimator(lambda n, m: m * n, lambda obs, sched: ls_full(obs, sched)),
+    "LR": Estimator(lambda n, m: m + n, lambda obs, sched: lr_rankone(obs, sched).h_e_hat),
 }
+
+# The uplink two-stage method of multi-user sweeps, recorded as "MF". Its
+# estimate holds every user's cascade, shape (q_users, n_bs, m_ris).
+UPLINK_MF = Estimator(lambda n, m: m, lambda obs, sched: estimate_multi_user(obs, sched).h_hats)
 
 
 def nmse(h_true: np.ndarray, h_hat: np.ndarray) -> float:
@@ -107,12 +134,44 @@ def spectral_efficiency(
 
 
 def overhead_table(dims: SystemDims) -> dict[str, int]:
-    """Minimal training pilots per estimator.
+    """Minimal training pilots per downlink estimator.
 
     KBF is included for reference only; it is not a runnable estimator here.
     """
     n, m = dims.n_bs, dims.m_ris
-    return {"MF_AM": m, "MF_GD": m, "LS": m * n, "LR": m + n, "KBF": m * n}
+    table = {name: entry.min_pilots(n, m) for name, entry in ESTIMATORS.items()}
+    table["KBF"] = m * n
+    return table
+
+
+def simulate_downlink(
+    dims: SystemDims, noise_var: float, rng: np.random.Generator, phase_design: str
+):
+    """Synthesize one single-user downlink training block.
+
+    Draws a single-path channel, then the pilot schedule, then the noise,
+    all from ``rng`` in that order, so a seed fixes every bit of the cell.
+    Returns ``(cascade, sched, obs)``; the cascade is the truth.
+    """
+    chan = sample_channel(dims, rng)
+    sched = make_pilot_schedule(dims, rng, phase_design=phase_design)
+    cascade = cascaded_downlink(chan.h_r, chan.g_matrix, psi=chan.psi)
+    return cascade, sched, downlink_observe(cascade, sched, noise_var, rng)
+
+
+def simulate_uplink(
+    dims: SystemDims, noise_var: float, rng: np.random.Generator, phase_design: str
+):
+    """Synthesize one multi-user uplink training block, drawing in the same
+    order as :func:`simulate_downlink`.
+
+    Returns ``(chan, g_up, sched, obs)`` with ``g_up = chan.g_uplink()``;
+    user q's truth is ``cascaded_uplink(g_up, chan.h_users[q], psi=chan.psi)``.
+    """
+    chan = sample_channel(dims, rng)
+    g_up = chan.g_uplink()
+    sched = make_uplink_schedule(dims, rng, phase_design=phase_design)
+    return chan, g_up, sched, uplink_observe(g_up, chan.h_users, sched, noise_var, rng)
 
 
 @dataclass
@@ -123,7 +182,7 @@ class ExperimentSpec:
     dims: SystemDims
     snr_grid_db: list[float]
     k_grid: list[int]
-    estimators: tuple[str, ...] = ESTIMATORS
+    estimators: tuple[str, ...] = tuple(ESTIMATORS)
     n_trials: int = 200
     master_seed: int = 0
     schedule_kind: str | None = None
@@ -133,7 +192,7 @@ class ExperimentSpec:
             raise ValueError(f"unknown scenario {self.scenario!r}")
         if self.n_trials < 1:
             raise ValueError("n_trials must be >= 1")
-        if self.scenario != "overhead_table" and (not self.snr_grid_db or not self.k_grid):
+        if not self.snr_grid_db or not self.k_grid:
             raise ValueError("snr and k grids must be non-empty")
         unknown = set(self.estimators) - set(ESTIMATORS)
         if unknown:
@@ -170,9 +229,7 @@ class ExperimentSpec:
 class ResultRecord:
     """One sweep cell. ``nmse`` is None exactly when the cell is infeasible
     (too few pilots for the estimator); ``se`` is None when no rate metric
-    applies. ``wall_time_ms`` is part of the persisted schema but always 0.0:
-    identical sweeps must serialize byte-identically regardless of thread
-    count, which a measured wall time cannot satisfy."""
+    applies."""
 
     scenario: str
     estimator: str
@@ -182,15 +239,12 @@ class ResultRecord:
     seed: int
     nmse: float | None
     se: float | None
-    wall_time_ms: float = 0.0
 
     def validate(self):
-        for name in ("nmse", "se", "wall_time_ms"):
+        for name in ("nmse", "se"):
             value = getattr(self, name)
-            if value is None:
-                continue
-            if isinstance(value, float) and math.isnan(value):
-                raise ValueError(f"{name} is NaN; records must be finite")
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} is {value}; records must be finite")
         if self.nmse is not None and self.nmse < 0.0:
             raise ValueError("nmse must be nonnegative")
 
@@ -209,30 +263,17 @@ def trial_seed(master_seed: int, estimator: str, snr_index: int, k_index: int, t
 
 def _single_user_cell(spec, estimator, snr_db, k, trial, snr_index, k_index):
     seed = trial_seed(spec.master_seed, estimator, snr_index, k_index, trial)
-    minimum = _MIN_PILOTS[estimator](spec.dims.n_bs, spec.dims.m_ris)
-    if k < minimum:
+    entry = ESTIMATORS[estimator]
+    if k < entry.min_pilots(spec.dims.n_bs, spec.dims.m_ris):
         return ResultRecord(
             spec.scenario, estimator, snr_db, k, trial, seed, None, None
         )
 
-    rng = np.random.default_rng(seed)
     dims = dataclasses.replace(spec.dims, k_pilots=k, q_users=1, t_symbols=1)
-    chan = sample_channel(dims, rng)
-    sched = make_pilot_schedule(dims, rng, phase_design=spec.schedule_kind)
-    cascade = cascaded_downlink(chan.h_r, chan.g_matrix, psi=chan.psi)
     noise_var = 10.0 ** (-snr_db / 10.0)
-    obs = downlink_observe(cascade, sched, noise_var, rng)
-
-    if estimator == "MF_AM":
-        h_hat = estimate_single_user(obs, sched, MfConfig(solver="am")).h_e_hat
-    elif estimator == "MF_GD":
-        h_hat = estimate_single_user(obs, sched, MfConfig(solver="gd")).h_e_hat
-    elif estimator == "LS":
-        h_hat = ls_full(obs, sched)
-    elif estimator == "LR":
-        h_hat = lr_rankone(obs, sched).h_e_hat
-    else:
-        raise ValueError(f"unknown estimator {estimator!r}")
+    rng = np.random.default_rng(seed)
+    cascade, sched, obs = simulate_downlink(dims, noise_var, rng, spec.schedule_kind)
+    h_hat = entry.estimate(obs, sched)
 
     se = None
     if noise_var > 0.0:
@@ -243,27 +284,22 @@ def _single_user_cell(spec, estimator, snr_db, k, trial, snr_index, k_index):
     )
 
 
-def _multi_user_cell(spec, snr_db, k, trial, snr_index, k_index):
-    estimator = "MF"
+def _multi_user_cell(spec, estimator, snr_db, k, trial, snr_index, k_index):
     seed = trial_seed(spec.master_seed, estimator, snr_index, k_index, trial)
-    if k < _MIN_PILOTS[estimator](spec.dims.n_bs, spec.dims.m_ris):
+    if k < UPLINK_MF.min_pilots(spec.dims.n_bs, spec.dims.m_ris):
         return ResultRecord(
             spec.scenario, estimator, snr_db, k, trial, seed, None, None
         )
 
-    rng = np.random.default_rng(seed)
     dims = dataclasses.replace(spec.dims, k_pilots=k)
-    chan = sample_channel(dims, rng)
-    g_up = chan.g_uplink()
-    sched = make_uplink_schedule(dims, rng, phase_design=spec.schedule_kind)
     noise_var = 10.0 ** (-snr_db / 10.0)
-    obs = uplink_observe(g_up, chan.h_users, sched, noise_var, rng)
-
-    estimate = estimate_multi_user(obs, sched)
-    per_user = []
-    for q in range(dims.q_users):
-        truth = cascaded_uplink(g_up, chan.h_users[q], psi=chan.psi).h_e
-        per_user.append(nmse(truth, estimate.h_hats[q]))
+    rng = np.random.default_rng(seed)
+    chan, g_up, sched, obs = simulate_uplink(dims, noise_var, rng, spec.schedule_kind)
+    h_hats = UPLINK_MF.estimate(obs, sched)
+    per_user = [
+        nmse(cascaded_uplink(g_up, h_q, psi=chan.psi).h_e, h_hat)
+        for h_q, h_hat in zip(chan.h_users, h_hats)
+    ]
     return ResultRecord(
         spec.scenario, estimator, snr_db, k, trial, seed,
         float(np.mean(per_user)), None,
@@ -277,33 +313,23 @@ def run_sweep(spec: ExperimentSpec, n_threads: int = 1) -> list[ResultRecord]:
     seed), so ``n_threads`` only affects wall time; the returned order is
     always estimator-major, then SNR, then k, then trial.
     """
-    if spec.scenario == "overhead_table":
-        raise ValueError("overhead_table is a static table, not a sweep")
-
-    jobs = []
     if spec.scenario == "single_user_downlink":
-        for estimator in spec.estimators:
-            for snr_index, snr_db in enumerate(spec.snr_grid_db):
-                for k_index, k in enumerate(spec.k_grid):
-                    for trial in range(spec.n_trials):
-                        jobs.append((
-                            _single_user_cell,
-                            (spec, estimator, snr_db, k, trial, snr_index, k_index),
-                        ))
+        cell, estimators = _single_user_cell, spec.estimators
     else:
-        for snr_index, snr_db in enumerate(spec.snr_grid_db):
-            for k_index, k in enumerate(spec.k_grid):
-                for trial in range(spec.n_trials):
-                    jobs.append((
-                        _multi_user_cell,
-                        (spec, snr_db, k, trial, snr_index, k_index),
-                    ))
+        cell, estimators = _multi_user_cell, ("MF",)
+    jobs = [
+        (spec, estimator, snr_db, k, trial, snr_index, k_index)
+        for estimator in estimators
+        for snr_index, snr_db in enumerate(spec.snr_grid_db)
+        for k_index, k in enumerate(spec.k_grid)
+        for trial in range(spec.n_trials)
+    ]
 
     if n_threads <= 1:
-        records = [fn(*args) for fn, args in jobs]
+        records = [cell(*args) for args in jobs]
     else:
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            futures = [pool.submit(fn, *args) for fn, args in jobs]
+            futures = [pool.submit(cell, *args) for args in jobs]
             records = [f.result() for f in futures]
     for record in records:
         record.validate()
@@ -337,21 +363,14 @@ def write_results(records, path, format: str = "csv", spec: ExperimentSpec | Non
             row = [
                 r.scenario, r.estimator, _format_value(float(r.snr_db)),
                 str(r.k), str(r.trial), str(r.seed),
-                nmse_cell, _format_value(r.se), _format_value(float(r.wall_time_ms)),
+                nmse_cell, _format_value(r.se),
             ]
             lines.append(",".join(row))
         payload = "\n".join(lines) + "\n"
         with open(path, "w", encoding="ascii") as fh:
             fh.write(payload)
     elif format == "json":
-        body = [
-            {
-                "scenario": r.scenario, "estimator": r.estimator,
-                "snr_db": r.snr_db, "k": r.k, "trial": r.trial, "seed": r.seed,
-                "nmse": r.nmse, "se": r.se, "wall_time_ms": r.wall_time_ms,
-            }
-            for r in records
-        ]
+        body = [dataclasses.asdict(r) for r in records]
         with open(path, "w", encoding="ascii") as fh:
             json.dump(body, fh, indent=1)
             fh.write("\n")
@@ -383,7 +402,6 @@ def read_records(path, format: str = "csv") -> list[ResultRecord]:
                     trial=int(cells[4]), seed=int(cells[5]),
                     nmse=None if cells[6] == "infeasible" else float(cells[6]),
                     se=None if cells[7] == "" else float(cells[7]),
-                    wall_time_ms=float(cells[8]),
                 ))
     elif format == "json":
         with open(path, encoding="ascii") as fh:

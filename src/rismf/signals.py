@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,11 +96,19 @@ class ObservationSet:
     """Received training data plus the per-sample noise variance.
 
     ``values`` is (k,) of scalars in the downlink and (k, n_bs, t_symbols)
-    of received blocks in the uplink.
+    of received blocks in the uplink. Non-finite values and a negative or
+    non-finite ``noise_var`` raise ``ValueError`` here, so every estimator
+    rejects bad data before it starts.
     """
 
     values: np.ndarray
     noise_var: float
+
+    def __post_init__(self):
+        if not np.all(np.isfinite(self.values)):
+            raise ValueError("observations must be finite (NaN or inf in values)")
+        if not (math.isfinite(self.noise_var) and self.noise_var >= 0.0):
+            raise ValueError(f"noise_var must be finite and nonnegative, got {self.noise_var}")
 
     @property
     def k_pilots(self) -> int:

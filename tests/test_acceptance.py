@@ -2,8 +2,9 @@
 
 One test per registered criterion, so ``pytest -v`` prints one line per
 criterion; each test also echoes the PASS/FAIL detail line that the CLI
-``verify`` subcommand would print. The full set takes about six minutes,
-dominated by the three full-dimension Monte Carlo criteria.
+``verify`` subcommand would print. The full set takes about eleven minutes
+on a 2-core 2.0 GHz Xeon VM (639 s measured), dominated by se-ordering
+(369 s) and estimator-ordering (231 s).
 """
 
 import pytest

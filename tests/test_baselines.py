@@ -101,3 +101,10 @@ class TestLrRankone:
         _, sched, _, obs = make_case(314, n_bs=4, m_ris=6, k=5)
         with pytest.raises(ValueError):
             lr_rankone(obs, sched)
+
+    def test_nan_data_rejected(self):
+        _, sched, _, obs = make_case(315, noise_var=0.5)
+        values = obs.values.copy()
+        values[0] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            lr_rankone(ObservationSet(values=values, noise_var=0.5), sched)

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from rismf import read_records, trial_seed
@@ -22,15 +23,18 @@ def write_config(path, **overrides):
 
 class TestSweepCommands:
     def test_single_user_run(self, tmp_path, capsys):
-        config = write_config(tmp_path / "spec.json")
+        # three trials, so the median and the mean differ
+        config = write_config(tmp_path / "spec.json", n_trials=3)
         out = tmp_path / "results.csv"
         assert main(["single-user", "--config", config, "--out", str(out)]) == 0
         records = read_records(out)
-        assert len(records) == 2
+        assert len(records) == 3
         assert all(r.scenario == "single_user_downlink" for r in records)
         stdout = capsys.readouterr().out
-        assert "2 records" in stdout
+        assert "3 records" in stdout
         assert f"wrote {out}" in stdout
+        median = np.median([r.nmse for r in records])
+        assert f"median NMSE {median:.4e}  (3 trials)" in stdout
 
     def test_multi_user_run(self, tmp_path):
         config = write_config(
@@ -110,6 +114,11 @@ class TestOverheadCommand:
         out = tmp_path / "overhead.json"
         assert main(["overhead", "--out", str(out), "--format", "json"]) == 0
         table = json.loads(out.read_text())
+        assert table["LS"] == 1600 and table["LR"] == 82
+
+    def test_json_stdout(self, capsys):
+        assert main(["overhead", "--format", "json"]) == 0
+        table = json.loads(capsys.readouterr().out)
         assert table["LS"] == 1600 and table["LR"] == 82
 
 

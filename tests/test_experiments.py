@@ -1,4 +1,3 @@
-import dataclasses
 import json
 
 import numpy as np
@@ -10,12 +9,20 @@ from rismf import (
     ResultRecord,
     SystemDims,
     array_response,
+    cascaded_downlink,
+    downlink_observe,
+    make_pilot_schedule,
+    make_uplink_schedule,
     nmse,
     overhead_table,
     read_records,
     run_sweep,
+    sample_channel,
+    simulate_downlink,
+    simulate_uplink,
     spectral_efficiency,
     trial_seed,
+    uplink_observe,
     write_results,
 )
 
@@ -102,6 +109,34 @@ class TestOverheadTable:
         for key in tables[0]:
             values = [t[key] for t in tables]
             assert values == sorted(values)
+
+
+class TestSimulate:
+    # Seeded sweeps and acceptance criteria rely on the draw order: channel,
+    # then schedule, then noise, from one generator.
+    def test_downlink_draw_order(self):
+        dims = SystemDims(n_bs=4, m_ris=6, k_pilots=12)
+        cascade, sched, obs = simulate_downlink(dims, 0.3, np.random.default_rng(5), "random")
+        rng = np.random.default_rng(5)
+        chan = sample_channel(dims, rng)
+        ref_sched = make_pilot_schedule(dims, rng)
+        ref = cascaded_downlink(chan.h_r, chan.g_matrix, psi=chan.psi)
+        np.testing.assert_array_equal(cascade.h_e, ref.h_e)
+        np.testing.assert_array_equal(sched.phases, ref_sched.phases)
+        np.testing.assert_array_equal(
+            obs.values, downlink_observe(ref, ref_sched, 0.3, rng).values
+        )
+
+    def test_uplink_draw_order(self):
+        dims = SystemDims(n_bs=4, m_ris=6, k_pilots=8, q_users=2, t_symbols=2)
+        chan, g_up, sched, obs = simulate_uplink(dims, 0.3, np.random.default_rng(6), "random")
+        rng = np.random.default_rng(6)
+        ref_chan = sample_channel(dims, rng)
+        ref_sched = make_uplink_schedule(dims, rng, phase_design="random")
+        np.testing.assert_array_equal(g_up, ref_chan.g_uplink())
+        np.testing.assert_array_equal(sched.phase_matrix, ref_sched.phase_matrix)
+        ref_obs = uplink_observe(g_up, ref_chan.h_users, ref_sched, 0.3, rng)
+        np.testing.assert_array_equal(obs.values, ref_obs.values)
 
 
 class TestTrialSeed:
@@ -229,14 +264,13 @@ class TestRunSweep:
         assert all(r.nmse is not None for r in records)
 
     def test_static_table_scenario_rejected(self):
-        spec = ExperimentSpec(
-            scenario="overhead_table",
-            dims=SystemDims(n_bs=4, m_ris=6),
-            snr_grid_db=[],
-            k_grid=[],
-        )
         with pytest.raises(ValueError):
-            run_sweep(spec)
+            ExperimentSpec(
+                scenario="overhead_table",
+                dims=SystemDims(n_bs=4, m_ris=6),
+                snr_grid_db=[],
+                k_grid=[],
+            )
 
     def test_nmse_non_increasing_in_snr(self):
         # Reduced dimensions keep this under ~15 s; the median is used
@@ -285,11 +319,12 @@ class TestPersistence:
         record = ResultRecord("single_user_downlink", "LS", 0.0, 3, 0, 17, None, None)
         out = tmp_path / "marked.csv"
         write_results([record], out)
-        assert ",infeasible,," in out.read_text()
+        assert ",infeasible,\n" in out.read_text()
         assert read_records(out)[0].nmse is None
 
-    def test_nan_rejected(self, tmp_path):
-        record = ResultRecord("single_user_downlink", "LS", 0.0, 3, 0, 17, float("nan"), None)
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_nan_rejected(self, tmp_path, value):
+        record = ResultRecord("single_user_downlink", "LS", 0.0, 3, 0, 17, value, None)
         with pytest.raises(ValueError):
             write_results([record], tmp_path / "bad.csv")
 
@@ -327,7 +362,3 @@ class TestResultRecord:
         record = ResultRecord("single_user_downlink", "LS", 0.0, 3, 0, 17, -1.0, None)
         with pytest.raises(ValueError):
             record.validate()
-
-    def test_wall_time_field_is_schema_only(self):
-        fields = {f.name: f for f in dataclasses.fields(ResultRecord)}
-        assert fields["wall_time_ms"].default == 0.0

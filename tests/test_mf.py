@@ -304,6 +304,16 @@ class TestEstimateSingleUser:
         with pytest.raises(ValueError):
             estimate_single_user(obs, sched, MfConfig(solver="newton"))
 
+    @pytest.mark.parametrize("solver", ["am", "gd"])
+    def test_nan_data_rejected(self, solver):
+        _, sched, _, obs = make_case(186, noise_var=0.1)
+        values = obs.values.copy()
+        values[3] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            estimate_single_user(
+                ObservationSet(values=values, noise_var=0.1), sched, MfConfig(solver=solver)
+            )
+
 
 class TestEstimateMultipath:
     def test_single_path_reduces_to_single_user(self):

@@ -15,6 +15,7 @@ from rismf import (
     uplink_observe,
 )
 from rismf.multiuser import estimate_a_q, estimate_psi_uplink, predicted_mse
+from rismf.signals import ObservationSet
 
 
 def circular_distance(a, b):
@@ -155,6 +156,13 @@ class TestEstimateMultiUser:
         chan, g_up, sched, obs = make_uplink_case(243, noise_var=1.0)
         est = estimate_multi_user(obs, sched, psi_override=chan.psi)
         assert est.psi_hat == chan.psi
+
+    def test_nan_data_rejected(self):
+        _, _, sched, obs = make_uplink_case(245, noise_var=0.5)
+        values = obs.values.copy()
+        values[2, 1, 0] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            estimate_multi_user(ObservationSet(values=values, noise_var=0.5), sched)
 
     def test_reported_floor_matches_direct_formula(self):
         chan, g_up, sched, obs = make_uplink_case(244, noise_var=0.7)

@@ -150,6 +150,11 @@ class TestDownlinkObserve:
         with pytest.raises(ValueError):
             downlink_observe(cas, sched, 0.1)
 
+    def test_negative_noise_variance_rejected(self):
+        _, sched, cas, _ = self._setup()
+        with pytest.raises(ValueError, match="noise_var"):
+            downlink_observe(cas, sched, -1.0)
+
     def test_reproducible_noise(self):
         rng_a, rng_b = np.random.default_rng(12), np.random.default_rng(12)
         _, sched, cas, _ = self._setup()
@@ -189,6 +194,11 @@ class TestUplinkObserve:
                 diag = sched.phase_matrix[:, k] * chan.h_users[q]
                 brute[k] += np.outer(g_up @ diag, sched.user_pilots[k, q])
         np.testing.assert_allclose(obs.values, brute, atol=1e-12)
+
+    def test_negative_noise_variance_rejected(self):
+        chan, g_up, sched, _ = self._setup()
+        with pytest.raises(ValueError, match="noise_var"):
+            uplink_observe(g_up, chan.h_users, sched, -1.0)
 
     def test_reproducible_noise(self):
         chan, g_up, sched, _ = self._setup()
