@@ -372,40 +372,36 @@ class CriterionResult:
     passed: bool
     detail: str
     elapsed_s: float
-    budget_s: float
 
 
+# Verdicts never depend on wall time: ``elapsed_s`` is reported, not gated.
 CRITERIA = [
-    ("predicted-mse", _criterion_predicted_mse_empirical, 30.0),
-    ("dft-optimality", _criterion_dft_mse_optimality, 5.0),
-    ("noiseless-mf-exactness", _criterion_noiseless_exactness, 60.0),
-    ("feasibility-boundary", _criterion_feasibility_boundary, 10.0),
-    ("gradient-correctness", _criterion_gradients, 5.0),
-    ("am-monotonicity", _criterion_am_monotone, 60.0),
-    ("estimator-ordering", _criterion_estimator_ordering, 900.0),
-    ("se-ordering", _criterion_se_ordering, 900.0),
-    ("pilot-scaling", _criterion_pilot_scaling, 900.0),
-    ("kron-equivalence", _criterion_kron_equivalence, 5.0),
-    ("determinism", _criterion_determinism, 120.0),
+    ("predicted-mse", _criterion_predicted_mse_empirical),
+    ("dft-optimality", _criterion_dft_mse_optimality),
+    ("noiseless-mf-exactness", _criterion_noiseless_exactness),
+    ("feasibility-boundary", _criterion_feasibility_boundary),
+    ("gradient-correctness", _criterion_gradients),
+    ("am-monotonicity", _criterion_am_monotone),
+    ("estimator-ordering", _criterion_estimator_ordering),
+    ("se-ordering", _criterion_se_ordering),
+    ("pilot-scaling", _criterion_pilot_scaling),
+    ("kron-equivalence", _criterion_kron_equivalence),
+    ("determinism", _criterion_determinism),
 ]
 
 
 def run_criterion(name: str) -> CriterionResult:
-    for crit_name, fn, budget in CRITERIA:
+    for crit_name, fn in CRITERIA:
         if crit_name == name:
             start = time.perf_counter()
             passed, detail = fn()
-            elapsed = time.perf_counter() - start
-            if elapsed > budget:
-                passed = False
-                detail += f" [over budget: {elapsed:.1f}s > {budget:.0f}s]"
-            return CriterionResult(name, passed, detail, elapsed, budget)
+            return CriterionResult(name, passed, detail, time.perf_counter() - start)
     raise KeyError(f"unknown criterion {name!r}")
 
 
 def run_all(report=print) -> list[CriterionResult]:
     results = []
-    for name, _, _ in CRITERIA:
+    for name, _ in CRITERIA:
         result = run_criterion(name)
         results.append(result)
         if report is not None:

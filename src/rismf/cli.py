@@ -116,7 +116,7 @@ def _cmd_overhead(args) -> int:
 def _cmd_verify(args) -> int:
     from .acceptance import CRITERIA, run_criterion
 
-    known = [name for name, _, _ in CRITERIA]
+    known = [name for name, _ in CRITERIA]
     names = args.criteria or known
     unknown = sorted(set(names) - set(known))
     if unknown:

@@ -41,7 +41,6 @@ __all__ = [
     "read_records",
 ]
 
-SCENARIOS = ("single_user_downlink", "multi_user_uplink")
 CSV_HEADER = "scenario,estimator,snr_db,k,trial,seed,nmse,se"
 
 
@@ -77,6 +76,9 @@ ESTIMATORS = {
 # The uplink two-stage method of multi-user sweeps, recorded as "MF". Its
 # estimate holds every user's cascade, shape (q_users, n_bs, m_ris).
 UPLINK_MF = Estimator(lambda n, m: m, lambda obs, sched: estimate_multi_user(obs, sched).h_hats)
+
+# The estimators each scenario may name; a spec that names none runs them all.
+SCENARIOS = {"single_user_downlink": ESTIMATORS, "multi_user_uplink": {"MF": UPLINK_MF}}
 
 
 def nmse(h_true: np.ndarray, h_hat: np.ndarray) -> float:
@@ -176,13 +178,18 @@ def simulate_uplink(
 
 @dataclass
 class ExperimentSpec:
-    """Declarative description of one Monte Carlo sweep."""
+    """Declarative description of one Monte Carlo sweep.
+
+    ``estimators`` left as None or empty resolves to every estimator of the
+    scenario, in registry order: the downlink :data:`ESTIMATORS`, or the
+    uplink two-stage method ``("MF",)``.
+    """
 
     scenario: str
     dims: SystemDims
     snr_grid_db: list[float]
     k_grid: list[int]
-    estimators: tuple[str, ...] = tuple(ESTIMATORS)
+    estimators: tuple[str, ...] | None = None
     n_trials: int = 200
     master_seed: int = 0
     schedule_kind: str | None = None
@@ -194,14 +201,15 @@ class ExperimentSpec:
             raise ValueError("n_trials must be >= 1")
         if not self.snr_grid_db or not self.k_grid:
             raise ValueError("snr and k grids must be non-empty")
-        unknown = set(self.estimators) - set(ESTIMATORS)
+        registry = SCENARIOS[self.scenario]
+        self.estimators = tuple(self.estimators or registry)
+        unknown = set(self.estimators) - set(registry)
         if unknown:
-            raise ValueError(f"unknown estimators: {sorted(unknown)}")
+            raise ValueError(f"unknown estimators for {self.scenario}: {sorted(unknown)}")
         if self.schedule_kind is None:
             self.schedule_kind = "dft" if self.scenario == "multi_user_uplink" else "random"
         if self.schedule_kind not in ("random", "dft"):
             raise ValueError(f"unknown schedule_kind {self.schedule_kind!r}")
-        self.estimators = tuple(self.estimators)
         self.snr_grid_db = [float(s) for s in self.snr_grid_db]
         self.k_grid = [int(k) for k in self.k_grid]
         self.master_seed = int(self.master_seed)
@@ -218,8 +226,6 @@ class ExperimentSpec:
             dims = data["dims"]
             if isinstance(dims, dict):
                 data["dims"] = SystemDims(**dims)
-            if "estimators" in data:
-                data["estimators"] = tuple(data["estimators"])
             return cls(**data)
         except (TypeError, KeyError) as err:
             raise ValueError(f"invalid experiment spec: {err}") from err
@@ -313,13 +319,10 @@ def run_sweep(spec: ExperimentSpec, n_threads: int = 1) -> list[ResultRecord]:
     seed), so ``n_threads`` only affects wall time; the returned order is
     always estimator-major, then SNR, then k, then trial.
     """
-    if spec.scenario == "single_user_downlink":
-        cell, estimators = _single_user_cell, spec.estimators
-    else:
-        cell, estimators = _multi_user_cell, ("MF",)
+    cell = _single_user_cell if spec.scenario == "single_user_downlink" else _multi_user_cell
     jobs = [
         (spec, estimator, snr_db, k, trial, snr_index, k_index)
-        for estimator in estimators
+        for estimator in spec.estimators
         for snr_index, snr_db in enumerate(spec.snr_grid_db)
         for k_index, k in enumerate(spec.k_grid)
         for trial in range(spec.n_trials)
@@ -404,8 +407,11 @@ def read_records(path, format: str = "csv") -> list[ResultRecord]:
                     se=None if cells[7] == "" else float(cells[7]),
                 ))
     elif format == "json":
+        fields = [f.name for f in dataclasses.fields(ResultRecord)]
         with open(path, encoding="ascii") as fh:
             for raw in json.load(fh):
+                if not isinstance(raw, dict) or raw.keys() != set(fields):
+                    raise ValueError(f"unexpected JSON record {raw!r}; keys must be {fields}")
                 records.append(ResultRecord(**raw))
     else:
         raise ValueError(f"unknown format {format!r}")

@@ -7,7 +7,7 @@ training data poses a structured rank-one recovery problem
     J(a_bar, psi) = sum_k | theta_k^T a_bar a_b(psi)^H x_k - r_k |^2.
 
 Two solvers are provided: safeguarded alternating minimization (exact LS in
-``a_bar`` alternated with a global 1-D grid search in ``psi``) and plain
+``a_bar`` alternated with an exact global 1-D search in ``psi``) and plain
 gradient descent on (Re a_bar, Im a_bar, psi). Both start from a spectral
 initialization.
 """
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import array_response, steering_matrix
+from .channel import array_response
 from .signals import ObservationSet, PilotSchedule
 
 __all__ = [
@@ -42,32 +42,19 @@ _DEFAULT_ITERS = {"am": 200, "gd": 2000}
 
 @dataclass
 class MfConfig:
-    """Solver settings.
-
-    ``max_iters`` defaults to 200 for the AM solver and 2000 for GD.
-    ``grid_points_coarse`` defaults to four points per BS antenna (4 n_bs);
-    each refinement level re-searches a window around the incumbent with the
-    window shrunk by ``refine_shrink``, so the final angular resolution is
-    about ``refine_shrink**(refine_levels - 1) / grid_points_coarse / 10``.
-    """
+    """Solver settings. ``max_iters`` defaults to 200 for AM and 2000 for GD."""
 
     solver: str = "am"
     max_iters: int | None = None
     step_size: float = 1e-2
     backtracking: bool = True
     max_backtracks: int = 30
-    grid_points_coarse: int | None = None
-    refine_levels: int = 6
-    refine_shrink: float = 0.1
     tol_objective: float = 1e-10
 
     def resolved_max_iters(self) -> int:
         if self.max_iters is not None:
             return self.max_iters
         return _DEFAULT_ITERS[self.solver]
-
-    def resolved_coarse(self, n_bs: int) -> int:
-        return self.grid_points_coarse if self.grid_points_coarse else 4 * n_bs
 
 
 @dataclass
@@ -111,55 +98,68 @@ def spectral_matrix(obs: ObservationSet, sched: PilotSchedule) -> np.ndarray:
     return (np.sqrt(n_bs) / k) * (sched.phases.conj().T @ weighted)
 
 
-def maximize_over_manifold(
-    score,
-    n_coarse: int,
-    refine_levels: int = 6,
-    refine_shrink: float = 0.1,
-    n_local: int = 21,
-) -> float:
-    """Maximize a 1-periodic score over the angle manifold.
+def maximize_over_manifold(gram: np.ndarray, linear: np.ndarray | None = None) -> float:
+    """Global maximizer over [0, 1) of ``Re(a_b^H G a_b) + 2 Re(a_b^H w)``, ``a_b = a_b(psi)``.
 
-    ``score`` must map an array of angles to an array of values. A coarse
-    circular grid of ``n_coarse`` points is followed by ``refine_levels``
-    local searches; each level scans ``n_local`` points in a window centered
-    on the incumbent and shrinks the window by ``refine_shrink``. The window
-    starts at one coarse spacing, and with ``n_local = 21`` each level's grid
-    spacing equals the next level's window, so the incumbent's neighborhood
-    is always covered.
+    The score is a trigonometric polynomial of degree n_bs - 1 in psi whose
+    coefficients are the diagonal sums of ``gram`` plus ``linear``. One FFT
+    evaluates it on an 8 n_bs grid; every local maximum of that grid is then
+    polished by Newton steps on the closed-form derivatives, each clipped to
+    one grid spacing and kept only if it raises the score, and the best
+    polished point wins (the root-MUSIC / Newtonized-OMP idea: Barabell,
+    ICASSP 1983; Mamandipoor, Ramasamy and Madhow, IEEE TSP 2016).
     """
-    grid = np.arange(n_coarse) / n_coarse
-    values = np.asarray(score(grid))
-    best_idx = int(np.argmax(values))
-    best, best_val = float(grid[best_idx]), float(values[best_idx])
+    n = gram.shape[0]
+    lag = np.subtract.outer(np.arange(n), np.arange(n)).ravel()
+    diag = np.zeros(2 * n - 1, dtype=complex)
+    np.add.at(diag, lag, gram.ravel())  # diag[d] sums G_il over i - l = d
+    # score(psi) = Re sum_d coef[d] exp(2j pi psi d) for d = 0 .. n-1
+    coef = (diag[:n] + diag[-np.arange(n)].conj()) / n
+    coef[0] /= 2.0  # the main diagonal was counted from both sides
+    if linear is not None:
+        coef += 2.0 * np.asarray(linear) / np.sqrt(n)
 
-    half_width = 1.0 / n_coarse
-    for _ in range(refine_levels):
-        local = (best + np.linspace(-half_width, half_width, n_local)) % 1.0
-        values = np.asarray(score(local))
-        idx = int(np.argmax(values))
-        if values[idx] > best_val:
-            best, best_val = float(local[idx]), float(values[idx])
-        half_width *= refine_shrink
-    return best
+    n_grid = 8 * n
+    spacing = 1.0 / n_grid
+    grid = n_grid * np.fft.ifft(coef, n_grid).real
+    peaks = (grid > np.roll(grid, 1)) & (grid >= np.roll(grid, -1))
+    psi = np.union1d(np.flatnonzero(peaks), [np.argmax(grid)]) * spacing
+
+    slope = 2j * np.pi * np.arange(n)
+
+    def derivatives(angles):
+        terms = np.exp(np.outer(angles, slope)) * coef
+        return terms.sum(axis=1).real, (terms @ slope).real, (terms @ slope**2).real
+
+    value, first, second = derivatives(psi)
+    reach = np.full(psi.shape, spacing)
+    rounding = np.finfo(float).eps * np.abs(coef).sum()
+    # A rejected step halves the candidate's reach. A candidate is done once
+    # the gain its step predicts is below the rounding of the score; the cap
+    # on rounds is only a safeguard.
+    for _ in range(100):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = np.where(second < 0.0, -first / second, np.copysign(np.inf, first))
+        step = np.clip(newton, -reach, reach)
+        live = np.abs(first * step) > rounding
+        if not live.any():
+            break
+        t_value, t_first, t_second = derivatives(psi + step)
+        better = live & (t_value > value)
+        psi = np.where(better, psi + step, psi)
+        value = np.where(better, t_value, value)
+        first = np.where(better, t_first, first)
+        second = np.where(better, t_second, second)
+        reach = np.where(better, reach, np.abs(step) / 2.0)
+    best = float(psi[np.argmax(value)] % 1.0)
+    return best if best < 1.0 else 0.0
 
 
-def init_psi(s_matrix: np.ndarray, config: MfConfig | None = None) -> float:
+def init_psi(s_matrix: np.ndarray) -> float:
     """Spectral angle estimate ``argmax_psi || S a_b(psi) ||^2``."""
     if not np.any(s_matrix):
         raise ValueError("spectral matrix is identically zero; nothing to initialize from")
-    config = config or MfConfig()
-    n_bs = s_matrix.shape[1]
-
-    def score(angles):
-        return np.sum(np.abs(s_matrix @ steering_matrix(n_bs, angles)) ** 2, axis=0)
-
-    return maximize_over_manifold(
-        score,
-        config.resolved_coarse(n_bs),
-        config.refine_levels,
-        config.refine_shrink,
-    )
+    return maximize_over_manifold(s_matrix.conj().T @ s_matrix)
 
 
 def ls_a_bar(psi: float, obs: ObservationSet, sched: PilotSchedule) -> np.ndarray:
@@ -180,23 +180,18 @@ def ls_a_bar(psi: float, obs: ObservationSet, sched: PilotSchedule) -> np.ndarra
     return solution
 
 
-def am_iterate(
-    state: MfState,
-    obs: ObservationSet,
-    sched: PilotSchedule,
-    config: MfConfig | None = None,
-) -> MfState:
+def am_iterate(state: MfState, obs: ObservationSet, sched: PilotSchedule) -> MfState:
     """One alternating-minimization sweep.
 
-    First the angle update: a global grid search of
-    ``min_psi sum_k |theta_k^T a_bar x_k^T conj(a_b(psi)) - r_k|^2`` at the
-    current ``a_bar``, accepted only if it does not increase the objective
-    (the grid does not necessarily contain the incumbent). Then the exact LS
-    update of ``a_bar`` at the accepted angle, which can only decrease the
-    objective further, so the sweep is monotone by construction.
+    First the angle update: the global minimizer of
+    ``sum_k |theta_k^T a_bar x_k^T conj(a_b(psi)) - r_k|^2`` at the current
+    ``a_bar``, i.e. :func:`maximize_over_manifold` of ``(-Y Y^H, Y conj(r))``
+    with column k of Y equal to ``(theta_k^T a_bar) x_k``. The candidate is
+    accepted only if the directly evaluated objective does not increase, which
+    guards against rounding in the polynomial form. Then the exact LS update
+    of ``a_bar`` at the accepted angle, which can only decrease the objective
+    further, so the sweep is monotone by construction.
     """
-    config = config or MfConfig()
-    n_bs = sched.pilots.shape[1]
     previous = (
         state.objective_history[-1]
         if state.objective_history
@@ -204,17 +199,9 @@ def am_iterate(
     )
 
     gains = sched.phases @ state.a_bar  # theta_k^T a_bar
-    scaled_pilots = (gains[:, None] * sched.pilots).T  # (n_bs, k), column k = g_k x_k
-
-    def score(angles):
-        pred = steering_matrix(n_bs, angles).conj().T @ scaled_pilots  # (grid, k)
-        return -np.sum(np.abs(pred - obs.values[None, :]) ** 2, axis=1)
-
+    scaled_pilots = (gains[:, None] * sched.pilots).T  # Y, column k = g_k x_k
     candidate = maximize_over_manifold(
-        score,
-        config.resolved_coarse(n_bs),
-        config.refine_levels,
-        config.refine_shrink,
+        -(scaled_pilots @ scaled_pilots.conj().T), scaled_pilots @ obs.values.conj()
     )
     psi = candidate if objective(state.a_bar, candidate, obs, sched) <= previous else state.psi
     a_bar = ls_a_bar(psi, obs, sched)
@@ -293,8 +280,8 @@ def gd_iterate(
     return MfState(a_bar=a_bar, psi=psi, objective_history=history)
 
 
-def _initial_state(obs: ObservationSet, sched: PilotSchedule, config: MfConfig) -> MfState:
-    psi0 = init_psi(spectral_matrix(obs, sched), config)
+def _initial_state(obs: ObservationSet, sched: PilotSchedule) -> MfState:
+    psi0 = init_psi(spectral_matrix(obs, sched))
     a0 = ls_a_bar(psi0, obs, sched)
     return MfState(a_bar=a0, psi=psi0, objective_history=[objective(a0, psi0, obs, sched)])
 
@@ -314,12 +301,14 @@ def estimate_single_user(
     config = config or MfConfig()
     if config.solver not in ("am", "gd"):
         raise ValueError(f"unknown solver {config.solver!r}")
-    step = am_iterate if config.solver == "am" else gd_iterate
 
-    state = _initial_state(obs, sched, config)
+    state = _initial_state(obs, sched)
     converged = False
     for _ in range(config.resolved_max_iters()):
-        state = step(state, obs, sched, config)
+        if config.solver == "am":
+            state = am_iterate(state, obs, sched)
+        else:
+            state = gd_iterate(state, obs, sched, config)
         prev, curr = state.objective_history[-2], state.objective_history[-1]
         if prev <= 0.0 or (prev - curr) <= config.tol_objective * prev:
             converged = True

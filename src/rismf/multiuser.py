@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import array_response, steering_matrix
-from .mf import MfConfig, maximize_over_manifold
+from .channel import array_response
+from .mf import maximize_over_manifold
 from .signals import ObservationSet, UplinkSchedule, despread
 
 __all__ = [
@@ -42,7 +42,7 @@ class MultiUserEstimate:
     predicted_mse: float
 
 
-def estimate_psi_uplink(s_list, config: MfConfig | None = None) -> float:
+def estimate_psi_uplink(s_list) -> float:
     """Shared BS-side angle: ``argmax_psi || a_b(psi)^H [S_1 ... S_Q] ||^2``.
 
     ``s_list`` is a sequence of despread (n_bs, k) matrices. Noiselessly each
@@ -51,19 +51,18 @@ def estimate_psi_uplink(s_list, config: MfConfig | None = None) -> float:
     stacked = np.hstack([np.asarray(s) for s in s_list])
     if not np.any(stacked):
         raise ValueError("despread data is identically zero; no angle to estimate")
-    config = config or MfConfig()
-    n_bs = stacked.shape[0]
+    return maximize_over_manifold(stacked @ stacked.conj().T)
 
-    def score(angles):
-        projections = steering_matrix(n_bs, angles).conj().T @ stacked
-        return np.sum(np.abs(projections) ** 2, axis=1)
 
-    return maximize_over_manifold(
-        score,
-        config.resolved_coarse(n_bs),
-        config.refine_levels,
-        config.refine_shrink,
-    )
+def _phase_gram(phase_matrix: np.ndarray) -> np.ndarray:
+    """The (m, m) Gram ``theta theta^H`` of a phase schedule, checked for full rank."""
+    m_ris, k = phase_matrix.shape
+    if k < m_ris:
+        raise ValueError(f"stage-2 LS needs k >= m_ris, got k={k}, m_ris={m_ris}")
+    gram = phase_matrix @ phase_matrix.conj().T
+    if np.linalg.cond(gram) > _COND_LIMIT:
+        raise ValueError("phase schedule loses rank; stage-2 LS is ill posed")
+    return gram
 
 
 def estimate_a_q(s_q: np.ndarray, phase_matrix: np.ndarray, psi_hat: float) -> np.ndarray:
@@ -78,12 +77,7 @@ def estimate_a_q(s_q: np.ndarray, phase_matrix: np.ndarray, psi_hat: float) -> n
 
     computed here without forming the Kronecker matrix.
     """
-    m_ris, k = phase_matrix.shape
-    if k < m_ris:
-        raise ValueError(f"stage-2 LS needs k >= m_ris, got k={k}, m_ris={m_ris}")
-    gram = phase_matrix @ phase_matrix.conj().T
-    if np.linalg.cond(gram) > _COND_LIMIT:
-        raise ValueError("phase schedule loses rank; stage-2 LS is ill posed")
+    gram = _phase_gram(phase_matrix)
     a_b = array_response(s_q.shape[0], psi_hat)
     rhs = phase_matrix @ (s_q.conj().T @ a_b)
     return np.linalg.solve(gram, rhs)
@@ -97,14 +91,13 @@ def predicted_mse(noise_var: float, t_symbols: int, phase_matrix: np.ndarray) ->
     when ``theta theta^H = K I`` (e.g. the DFT schedule), where the value is
     ``noise_var m_ris / (K T)``.
     """
-    gram = phase_matrix @ phase_matrix.conj().T
+    gram = _phase_gram(phase_matrix)
     return float(noise_var / t_symbols * np.trace(np.linalg.inv(gram)).real)
 
 
 def estimate_multi_user(
     obs: ObservationSet,
     sched: UplinkSchedule,
-    config: MfConfig | None = None,
     psi_override: float | None = None,
 ) -> MultiUserEstimate:
     """Despread every user, estimate the shared angle, then solve per user.
@@ -116,7 +109,7 @@ def estimate_multi_user(
     if psi_override is not None:
         psi_hat = float(psi_override)
     else:
-        psi_hat = estimate_psi_uplink(despread_all, config)
+        psi_hat = estimate_psi_uplink(despread_all)
 
     a_bar_hats = np.stack(
         [estimate_a_q(s_q, sched.phase_matrix, psi_hat) for s_q in despread_all]

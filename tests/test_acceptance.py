@@ -2,13 +2,17 @@
 
 One test per registered criterion, so ``pytest -v`` prints one line per
 criterion; each test also echoes the PASS/FAIL detail line that the CLI
-``verify`` subcommand would print. The full set takes about eleven minutes
-on a 2-core 2.0 GHz Xeon VM (639 s measured), dominated by se-ordering
-(369 s) and estimator-ordering (231 s).
+``verify`` subcommand would print. The full set takes five to ten minutes
+on a 2-core 2.0 GHz Xeon VM whose speed drifts (323 s and 560 s in two
+runs), dominated by se-ordering (156 s / 298 s) and estimator-ordering
+(143 s / 214 s).
 """
+
+import itertools
 
 import pytest
 
+from rismf import acceptance
 from rismf.acceptance import CRITERIA, run_criterion
 
 # At K = M the noiseless objective has an exact fit at every candidate
@@ -22,7 +26,7 @@ UNATTAINABLE = {
 }
 
 
-@pytest.mark.parametrize("name", [name for name, _, _ in CRITERIA])
+@pytest.mark.parametrize("name", [name for name, _ in CRITERIA])
 def test_criterion(name):
     result = run_criterion(name)
     status = "PASS" if result.passed else "FAIL"
@@ -35,3 +39,12 @@ def test_criterion(name):
             )
         pytest.xfail(UNATTAINABLE[name])
     assert result.passed, f"{result.name}: {result.detail}"
+
+
+def test_verdict_ignores_wall_time(monkeypatch):
+    # a criterion that passes stays PASS however long the machine took
+    clock = itertools.count(0.0, 1e6)
+    monkeypatch.setattr(acceptance, "CRITERIA", [("instant", lambda: (True, "ok"))])
+    monkeypatch.setattr(acceptance.time, "perf_counter", lambda: next(clock))
+    result = acceptance.run_criterion("instant")
+    assert result.passed and result.detail == "ok" and result.elapsed_s == 1e6

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -190,6 +191,21 @@ class TestExperimentSpec:
         )
         assert uplink.schedule_kind == "dft"
 
+    def test_estimators_default_by_scenario(self):
+        uplink_dims = SystemDims(n_bs=4, m_ris=6, q_users=2, t_symbols=2)
+        assert tiny_spec(estimators=None).estimators == ("MF_AM", "MF_GD", "LS", "LR")
+        for named in (None, (), ["MF"]):
+            uplink = tiny_spec(scenario="multi_user_uplink", dims=uplink_dims, estimators=named)
+            assert uplink.estimators == ("MF",)
+
+    def test_uplink_rejects_downlink_estimators(self):
+        with pytest.raises(ValueError, match="LS"):
+            tiny_spec(
+                scenario="multi_user_uplink",
+                dims=SystemDims(n_bs=4, m_ris=6, q_users=2, t_symbols=2),
+                estimators=("LS",),
+            )
+
     def test_rejects_unknown_scenario(self):
         with pytest.raises(ValueError):
             tiny_spec(scenario="sideways_link")
@@ -262,6 +278,7 @@ class TestRunSweep:
         assert len(records) == 4
         assert all(r.estimator == "MF" and r.se is None for r in records)
         assert all(r.nmse is not None for r in records)
+        assert spec.to_dict()["estimators"] == ["MF"]
 
     def test_static_table_scenario_rejected(self):
         with pytest.raises(ValueError):
@@ -335,6 +352,18 @@ class TestPersistence:
         meta = json.loads((tmp_path / "sweep.csv.meta.json").read_text())
         assert "version" in meta
         assert ExperimentSpec.from_dict(meta["spec"]) == spec
+
+    @pytest.mark.parametrize("change", ["extra", "missing"])
+    def test_json_key_mismatch_rejected(self, tmp_path, change):
+        raw = dataclasses.asdict(ResultRecord("single_user_downlink", "LS", 0.0, 3, 0, 17, 0.5, None))
+        if change == "extra":
+            raw["wall_time_ms"] = 0.0  # a column older files carried
+        else:
+            del raw["seed"]
+        out = tmp_path / "old.json"
+        out.write_text(json.dumps([raw]))
+        with pytest.raises(ValueError, match="keys"):
+            read_records(out, format="json")
 
     def test_header_mismatch_rejected(self, tmp_path):
         out = tmp_path / "tampered.csv"

@@ -7,6 +7,7 @@ from rismf import (
     SystemDims,
     array_response,
     cascaded_downlink,
+    despread,
     downlink_observe,
     estimate_multipath,
     estimate_single_user,
@@ -14,6 +15,7 @@ from rismf import (
     nmse,
     sample_channel,
     sample_multipath_channel,
+    simulate_uplink,
 )
 from rismf.channel import steering_matrix
 from rismf.mf import (
@@ -95,32 +97,62 @@ class TestSpectralMatrix:
         np.testing.assert_allclose(s, brute, atol=1e-13)
 
 
+def manifold_score(gram, linear, angles):
+    """Direct evaluation of ``a_b^H G a_b + 2 Re(a_b^H w)`` on an angle grid."""
+    steer = steering_matrix(gram.shape[0], angles)
+    value = np.einsum("ia,ij,ja->a", steer.conj(), gram, steer).real
+    if linear is not None:
+        value += 2.0 * (steer.conj().T @ linear).real
+    return value
+
+
+def angle_objectives(seed):
+    """The three (G, w) pairs the callers hand to the search, on one N=16 cell."""
+    rng = np.random.default_rng(seed)
+    _, sched, _, obs = make_case(seed, noise_var=float(rng.uniform(0.01, 3.0)))
+    s = spectral_matrix(obs, sched)
+    a_bar = rng.standard_normal(32) + 1j * rng.standard_normal(32)
+    scaled = ((sched.phases @ a_bar)[:, None] * sched.pilots).T
+    uplink_dims = SystemDims(n_bs=16, m_ris=32, k_pilots=64, q_users=3, t_symbols=3)
+    _, _, up_sched, up_obs = simulate_uplink(uplink_dims, obs.noise_var, rng, "dft")
+    z = np.hstack([despread(up_obs, up_sched, q) for q in range(3)])
+    return {
+        "spectral": (s.conj().T @ s, None),
+        "am": (-(scaled @ scaled.conj().T), scaled @ obs.values.conj()),
+        "uplink": (z @ z.conj().T, None),
+    }
+
+
 class TestManifoldSearch:
     def test_finds_spectral_score_peak(self):
-        chan, sched, cas, obs = make_case(121)
+        _, sched, _, obs = make_case(121)
         s = spectral_matrix(obs, sched)
-
-        def score(angles):
-            return np.sum(np.abs(s @ steering_matrix(16, angles)) ** 2, axis=0)
-
-        found = maximize_over_manifold(score, 64)
+        gram = s.conj().T @ s
+        found = maximize_over_manifold(gram)
         fine = np.linspace(0.0, 1.0, 50_000, endpoint=False)
-        best = fine[np.argmax(score(fine))]
+        best = fine[np.argmax(manifold_score(gram, None, fine))]
         assert circular_distance(found, best) <= 2e-5
-
-    def test_constant_score_returns_valid_angle(self):
-        found = maximize_over_manifold(lambda a: np.zeros_like(a), 16)
-        assert 0.0 <= found < 1.0
 
     def test_peak_near_wraparound(self):
         target = 0.9995
         a_star = array_response(16, target)
+        found = maximize_over_manifold(np.outer(a_star, a_star.conj()))
+        assert circular_distance(found, target) <= 1e-9
+        assert 0.0 <= found < 1.0
 
-        def score(angles):
-            return np.abs(a_star.conj() @ steering_matrix(16, angles)) ** 2
+    def test_constant_score_returns_valid_angle(self):
+        found = maximize_over_manifold(np.zeros((16, 16), dtype=complex))
+        assert 0.0 <= found < 1.0
 
-        found = maximize_over_manifold(score, 64)
-        assert circular_distance(found, target) <= 1e-6
+    # On cells 961 and 1075 the best point of the 8N grid sits on the wrong
+    # lobe, so these two fail if only the grid argmax is polished.
+    @pytest.mark.parametrize("seed", [900, 901, 902, 961, 1075])
+    def test_never_below_a_dense_grid(self, seed):
+        fine = np.arange(20_000) / 20_000
+        for name, (gram, linear) in angle_objectives(seed).items():
+            grid_best = manifold_score(gram, linear, fine).max()
+            found = manifold_score(gram, linear, [maximize_over_manifold(gram, linear)])[0]
+            assert found >= grid_best - 1e-12 * abs(grid_best), name
 
 
 class TestInitPsi:
@@ -365,7 +397,3 @@ class TestMfConfig:
         assert MfConfig(solver="am").resolved_max_iters() == 200
         assert MfConfig(solver="gd").resolved_max_iters() == 2000
         assert MfConfig(solver="am", max_iters=7).resolved_max_iters() == 7
-
-    def test_coarse_grid_scales_with_array(self):
-        assert MfConfig().resolved_coarse(16) == 64
-        assert MfConfig(grid_points_coarse=100).resolved_coarse(16) == 100

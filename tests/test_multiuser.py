@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from rismf import (
-    MfConfig,
     SystemDims,
     array_response,
     despread,
@@ -53,13 +52,6 @@ class TestEstimatePsiUplink:
     def test_zero_data_rejected(self):
         with pytest.raises(ValueError):
             estimate_psi_uplink([np.zeros((8, 10), dtype=complex)])
-
-    def test_config_grid_is_honored(self):
-        rng = np.random.default_rng(212)
-        a_b = array_response(8, 0.25)
-        s = np.outer(a_b, rng.standard_normal(20) + 1j * rng.standard_normal(20))
-        coarse = estimate_psi_uplink([s], MfConfig(grid_points_coarse=4, refine_levels=0))
-        assert coarse in (0.0, 0.25, 0.5, 0.75)
 
 
 class TestEstimateAQ:
@@ -126,6 +118,14 @@ class TestPredictedMse:
         np.testing.assert_allclose(
             predicted_mse(3.0, 2, phase), 3.0 * predicted_mse(1.0, 2, phase), rtol=1e-12
         )
+
+    def test_rank_deficient_schedule_rejected(self):
+        with pytest.raises(ValueError, match="loses rank"):
+            predicted_mse(1.0, 2, np.ones((4, 8), dtype=complex))
+
+    def test_short_schedule_rejected(self):
+        with pytest.raises(ValueError, match="k >= m_ris"):
+            predicted_mse(1.0, 2, dft_phase_schedule(6, 6)[:, :5])
 
 
 class TestEstimateMultiUser:
