@@ -57,7 +57,7 @@ from .multiuser import (
     estimate_psi_uplink,
     predicted_mse,
 )
-from .baselines import LrResult, RankOneFactors, lr_rankone, ls_full
+from .baselines import lr_rankone, ls_full
 from .experiments import (
     CSV_HEADER,
     ESTIMATORS,

@@ -2,41 +2,16 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.linalg
 
-from .mf import spectral_matrix
+from .mf import EstimateResult, _misfit, _scaled_lstsq, _stalled, spectral_matrix
 from .signals import ObservationSet, PilotSchedule
 
-__all__ = ["RankOneFactors", "LrResult", "ls_full", "lr_rankone"]
+__all__ = ["ls_full", "lr_rankone"]
 
-
-@dataclass
-class RankOneFactors:
-    """Unstructured factors of a rank-one matrix estimate.
-
-    Scale convention: ``v`` has unit norm and the magnitude lives in ``u``,
-    which resolves the scaling ambiguity of ``u v^H``.
-    """
-
-    u: np.ndarray
-    v: np.ndarray
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.outer(self.u, self.v.conj())
-
-
-@dataclass
-class LrResult:
-    factors: RankOneFactors
-    h_e_hat: np.ndarray
-    objective_final: float
-    iters_used: int
-    converged: bool
-    objective_history: list[float]
+# Alternating sweeps before the low-rank baseline gives up.
+_LR_MAX_ITERS = 300
 
 
 def ls_full(obs: ObservationSet, sched: PilotSchedule) -> np.ndarray:
@@ -62,73 +37,37 @@ def ls_full(obs: ObservationSet, sched: PilotSchedule) -> np.ndarray:
             gram = design.conj().T @ design
             rhs = design.conj().T @ obs.values
             vec = scipy.linalg.solve(gram, rhs, assume_a="pos")
-    except np.linalg.LinAlgError as err:
-        raise ValueError(f"full LS design is rank deficient: {err}") from err
-    except scipy.linalg.LinAlgError as err:  # non positive definite Gram
+    except np.linalg.LinAlgError as err:  # singular, or a Gram not positive definite
         raise ValueError(f"full LS design is rank deficient: {err}") from err
     return vec.reshape(n_bs, m_ris).T
 
 
-def lr_rankone(
-    obs: ObservationSet,
-    sched: PilotSchedule,
-    max_iters: int = 300,
-    tol_objective: float = 1e-10,
-) -> LrResult:
+def lr_rankone(obs: ObservationSet, sched: PilotSchedule) -> EstimateResult:
     """Alternating LS for ``r_k = theta_k^T u v^H x_k`` with free ``u`` and ``v``.
 
     Initialized from the top singular pair of the spectral matrix. Each half
     step is an exact LS solve (k >= m_ris for the u step, k >= n_bs for the v
     step), so the objective never increases. Unlike the structured estimator,
-    ``v`` is not constrained to the steering manifold.
+    ``v`` is not constrained to the steering manifold, and the result carries
+    no angle. ``v`` is kept at unit norm, with the magnitude in ``u``.
     """
-    k, n_bs = sched.pilots.shape
-    m_ris = sched.phases.shape[1]
-    if k < max(m_ris, n_bs):
-        raise ValueError(
-            f"alternating LS needs k >= max(m_ris, n_bs), got k={k}"
-        )
-
     s_matrix = spectral_matrix(obs, sched)
     left, sing, right_h = np.linalg.svd(s_matrix, full_matrices=False)
     u = left[:, 0] * sing[0]
     v = right_h[0, :].conj()
 
-    def misfit(u_now, v_now):
-        pred = (sched.phases @ u_now) * (sched.pilots @ v_now.conj())
-        return float(np.sum(np.abs(pred - obs.values) ** 2))
-
-    # exact fits keep contracting geometrically and never stall in relative
-    # terms, so also stop at the rounding floor of the data energy
-    data_energy = float(np.sum(np.abs(obs.values) ** 2))
-    floor = np.finfo(float).eps ** 2 * 1e6 * max(data_energy, np.finfo(float).tiny)
-
-    history = [misfit(u, v)]
+    history = [_misfit(u, v, obs, sched)]
     converged = False
-    for _ in range(max_iters):
-        pilot_gain = sched.pilots @ v.conj()
-        u, _, rank_u, _ = np.linalg.lstsq(pilot_gain[:, None] * sched.phases, obs.values, rcond=None)
-        if rank_u < m_ris:
-            raise ValueError("u step is rank deficient")
-        phase_gain = sched.phases @ u
-        w, _, rank_v, _ = np.linalg.lstsq(phase_gain[:, None] * sched.pilots, obs.values, rcond=None)
-        if rank_v < n_bs:
-            raise ValueError("v step is rank deficient")
-        v = w.conj()
+    for _ in range(_LR_MAX_ITERS):
+        u = _scaled_lstsq(sched.pilots @ v.conj(), sched.phases, obs.values)
+        v = _scaled_lstsq(sched.phases @ u, sched.pilots, obs.values).conj()
         norm_v = np.linalg.norm(v)
         u, v = u * norm_v, v / norm_v
-        history.append(misfit(u, v))
-        prev, curr = history[-2], history[-1]
-        if curr <= floor or (prev - curr) <= tol_objective * prev:
+        history.append(_misfit(u, v, obs, sched))
+        if _stalled(history, obs):
             converged = True
             break
 
-    factors = RankOneFactors(u=u, v=v)
-    return LrResult(
-        factors=factors,
-        h_e_hat=factors.matrix,
-        objective_final=history[-1],
-        iters_used=len(history) - 1,
-        converged=converged,
-        objective_history=history,
+    return EstimateResult(
+        a_bar_hat=u, a_b_hat=v, psi_hat=None, converged=converged, objective_history=history
     )

@@ -46,15 +46,23 @@ def _default_spec(scenario: str) -> ExperimentSpec:
     )
 
 
+def _read_config(path: str) -> dict:
+    """The JSON object stored at ``path``; anything else is an invalid spec."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            raw = json.load(fh)
+        except json.JSONDecodeError as err:
+            raise ValueError(f"config {path} is not valid JSON: {err}") from err
+    if not isinstance(raw, dict):
+        raise ValueError(f"config {path} must hold a JSON object, not {type(raw).__name__}")
+    return raw
+
+
 def _load_spec(args, scenario: str) -> ExperimentSpec:
     if args.config is None:
         spec = _default_spec(scenario)
     else:
-        with open(args.config, encoding="utf-8") as fh:
-            try:
-                raw = json.load(fh)
-            except json.JSONDecodeError as err:
-                raise ValueError(f"config {args.config} is not valid JSON: {err}") from err
+        raw = _read_config(args.config)
         raw.setdefault("scenario", scenario)
         if raw["scenario"] != scenario:
             raise ValueError(
@@ -93,9 +101,11 @@ def _cmd_sweep(args, scenario: str) -> int:
 
 def _cmd_overhead(args) -> int:
     if args.config is not None:
-        with open(args.config, encoding="utf-8") as fh:
-            raw = json.load(fh)
-        dims = SystemDims(**raw.get("dims", raw))
+        raw = _read_config(args.config)
+        try:
+            dims = SystemDims(**raw.get("dims", raw))
+        except TypeError as err:
+            raise ValueError(f"invalid dims in {args.config}: {err}") from err
     else:
         dims = SystemDims(**_DEFAULT_DIMS)
     table = overhead_table(dims)

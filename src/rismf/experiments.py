@@ -6,6 +6,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import numbers
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -249,8 +250,10 @@ class ResultRecord:
     def validate(self):
         for name in ("nmse", "se"):
             value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} is {value}; records must be finite")
+            if value is None:
+                continue
+            if not isinstance(value, numbers.Real) or not math.isfinite(value):
+                raise ValueError(f"{name} is {value!r}; records must be finite numbers")
         if self.nmse is not None and self.nmse < 0.0:
             raise ValueError("nmse must be nonnegative")
 
@@ -389,7 +392,11 @@ def write_results(records, path, format: str = "csv", spec: ExperimentSpec | Non
 
 
 def read_records(path, format: str = "csv") -> list[ResultRecord]:
-    """Parse a results file written by :func:`write_results`."""
+    """Parse a results file written by :func:`write_results`.
+
+    A malformed row or a record that fails :meth:`ResultRecord.validate`
+    raises ``ValueError``.
+    """
     path = str(path)
     records = []
     if format == "csv":
@@ -397,8 +404,13 @@ def read_records(path, format: str = "csv") -> list[ResultRecord]:
             header = fh.readline().strip()
             if header != CSV_HEADER:
                 raise ValueError(f"unexpected CSV header {header!r}")
+            n_columns = len(CSV_HEADER.split(","))
             for line in fh:
                 cells = line.rstrip("\n").split(",")
+                if len(cells) != n_columns:
+                    raise ValueError(
+                        f"CSV row has {len(cells)} cells, expected {n_columns}: {line!r}"
+                    )
                 records.append(ResultRecord(
                     scenario=cells[0], estimator=cells[1],
                     snr_db=float(cells[2]), k=int(cells[3]),
@@ -415,4 +427,6 @@ def read_records(path, format: str = "csv") -> list[ResultRecord]:
                 records.append(ResultRecord(**raw))
     else:
         raise ValueError(f"unknown format {format!r}")
+    for record in records:
+        record.validate()
     return records

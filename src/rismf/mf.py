@@ -38,18 +38,22 @@ __all__ = [
 ]
 
 _DEFAULT_ITERS = {"am": 200, "gd": 2000}
+# Stop once a sweep lowers the misfit by at most this fraction of its value.
+_TOL_OBJECTIVE = 1e-10
+# GD starts every step at this size and halves it at most this many times.
+_GD_STEP = 1e-2
+_MAX_BACKTRACKS = 30
 
 
 @dataclass
 class MfConfig:
-    """Solver settings. ``max_iters`` defaults to 200 for AM and 2000 for GD."""
+    """Solver choice, ``"am"`` or ``"gd"``, and its sweep cap.
+
+    ``max_iters`` defaults to 200 for AM and 2000 for GD.
+    """
 
     solver: str = "am"
     max_iters: int | None = None
-    step_size: float = 1e-2
-    backtracking: bool = True
-    max_backtracks: int = 30
-    tol_objective: float = 1e-10
 
     def resolved_max_iters(self) -> int:
         if self.max_iters is not None:
@@ -68,22 +72,71 @@ class MfState:
 
 @dataclass
 class EstimateResult:
-    """Final estimate with diagnostics."""
+    """Rank-one estimate ``h_e_hat = a_bar_hat a_b_hat^H`` with diagnostics.
 
-    h_e_hat: np.ndarray
+    ``a_b_hat`` has unit norm, so the magnitude lives in ``a_bar_hat``. The
+    structured estimator returns ``a_b_hat = a_b(psi_hat)``; the free
+    low-rank baseline leaves ``a_b_hat`` off the steering manifold and
+    ``psi_hat`` None.
+    """
+
     a_bar_hat: np.ndarray
-    psi_hat: float
-    objective_final: float
-    iters_used: int
+    a_b_hat: np.ndarray
+    psi_hat: float | None
     converged: bool
     objective_history: list[float]
+
+    @property
+    def h_e_hat(self) -> np.ndarray:
+        return np.outer(self.a_bar_hat, self.a_b_hat.conj())
+
+    @property
+    def objective_final(self) -> float:
+        return self.objective_history[-1]
+
+    @property
+    def iters_used(self) -> int:
+        return len(self.objective_history) - 1
+
+
+def _predict(u: np.ndarray, v: np.ndarray, sched: PilotSchedule) -> np.ndarray:
+    """Noiseless observations ``theta_k^T u v^H x_k`` of the rank-one channel ``u v^H``."""
+    return (sched.phases @ u) * (sched.pilots @ v.conj())
+
+
+def _misfit(u: np.ndarray, v: np.ndarray, obs: ObservationSet, sched: PilotSchedule) -> float:
+    return float(np.sum(np.abs(_predict(u, v, sched) - obs.values) ** 2))
+
+
+def _stalled(history: list[float], obs: ObservationSet) -> bool:
+    """The stop rule of every solver: the last sweep lowered the misfit by at
+    most a ``_TOL_OBJECTIVE`` fraction, or the misfit is at the rounding floor
+    of the data energy (exact fits contract geometrically and never stall in
+    relative terms)."""
+    prev, curr = history[-2], history[-1]
+    energy = float(np.sum(np.abs(obs.values) ** 2))
+    floor = np.finfo(float).eps ** 2 * 1e6 * max(energy, np.finfo(float).tiny)
+    return curr <= floor or (prev - curr) <= _TOL_OBJECTIVE * prev
+
+
+def _scaled_lstsq(gains: np.ndarray, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """LS solution of ``(gains[:, None] * rows) x = values``.
+
+    The design must be tall with full column rank. Solved by orthogonal
+    factorization, not the normal equations.
+    """
+    k, n = rows.shape
+    if k < n:
+        raise ValueError(f"LS step needs k >= unknowns, got k={k}, unknowns={n}")
+    solution, _, rank, _ = np.linalg.lstsq(gains[:, None] * rows, values, rcond=None)
+    if rank < n:
+        raise ValueError(f"LS design is rank deficient ({rank} < {n})")
+    return solution
 
 
 def objective(a_bar: np.ndarray, psi: float, obs: ObservationSet, sched: PilotSchedule) -> float:
     """Training-data misfit ``sum_k |theta_k^T a_bar a_b(psi)^H x_k - r_k|^2``."""
-    a_b = array_response(sched.pilots.shape[1], psi)
-    pred = (sched.phases @ a_bar) * (sched.pilots @ a_b.conj())
-    return float(np.sum(np.abs(pred - obs.values) ** 2))
+    return _misfit(a_bar, array_response(sched.pilots.shape[1], psi), obs, sched)
 
 
 def spectral_matrix(obs: ObservationSet, sched: PilotSchedule) -> np.ndarray:
@@ -166,18 +219,10 @@ def ls_a_bar(psi: float, obs: ObservationSet, sched: PilotSchedule) -> np.ndarra
     """Exact LS solve for ``a_bar`` at fixed ``psi``.
 
     The design matrix has rows ``(a_b(psi)^H x_k) theta_k^T`` and must be
-    tall: k >= m_ris. Solved by orthogonal factorization, not the normal
-    equations.
+    tall: k >= m_ris.
     """
-    k, m_ris = sched.phases.shape
-    if k < m_ris:
-        raise ValueError(f"LS step needs k >= m_ris, got k={k}, m_ris={m_ris}")
     gains = sched.pilots @ array_response(sched.pilots.shape[1], psi).conj()
-    design = gains[:, None] * sched.phases
-    solution, _, rank, _ = np.linalg.lstsq(design, obs.values, rcond=None)
-    if rank < m_ris:
-        raise ValueError(f"LS design is rank deficient ({rank} < {m_ris})")
-    return solution
+    return _scaled_lstsq(gains, sched.phases, obs.values)
 
 
 def am_iterate(state: MfState, obs: ObservationSet, sched: PilotSchedule) -> MfState:
@@ -242,20 +287,14 @@ def gd_gradients(
     return grad_a.real, grad_a.imag, grad_psi
 
 
-def gd_iterate(
-    state: MfState,
-    obs: ObservationSet,
-    sched: PilotSchedule,
-    config: MfConfig | None = None,
-) -> MfState:
+def gd_iterate(state: MfState, obs: ObservationSet, sched: PilotSchedule) -> MfState:
     """One gradient step on (Re a_bar, Im a_bar, psi) with a shared step size.
 
-    With backtracking enabled the step is halved (up to ``max_backtracks``
+    The step starts at ``_GD_STEP`` and is halved (up to ``_MAX_BACKTRACKS``
     times) until the objective does not increase; if that fails the iterate
     is left unchanged, so the trajectory stays monotone. The angle is wrapped
     back to [0, 1).
     """
-    config = config or MfConfig()
     previous = (
         state.objective_history[-1]
         if state.objective_history
@@ -264,14 +303,13 @@ def gd_iterate(
     grad_re, grad_im, grad_psi = gd_gradients(state.a_bar, state.psi, obs, sched)
     grad_a = grad_re + 1j * grad_im
 
-    step = config.step_size
+    step = _GD_STEP
     a_bar, psi, value = state.a_bar, state.psi, previous
-    tries = config.max_backtracks if config.backtracking else 0
-    for _ in range(tries + 1):
+    for _ in range(_MAX_BACKTRACKS + 1):
         cand_a = state.a_bar - step * grad_a
         cand_psi = (state.psi - step * grad_psi) % 1.0
         cand_val = objective(cand_a, cand_psi, obs, sched)
-        if cand_val <= previous or not config.backtracking:
+        if cand_val <= previous:
             a_bar, psi, value = cand_a, cand_psi, cand_val
             break
         step *= 0.5
@@ -293,35 +331,28 @@ def estimate_single_user(
 ) -> EstimateResult:
     """Full estimator: spectral init, then AM or GD until the objective stalls.
 
-    Stops when the relative objective decrease drops below
-    ``config.tol_objective`` or ``max_iters`` sweeps have run. The estimator
-    is deterministic in the data; only the (a_bar, psi) product is
-    identifiable, and the returned ``h_e_hat`` is that product.
+    Stops at the shared stop rule (:func:`_stalled`) or after ``max_iters``
+    sweeps. The estimator is deterministic in the data; only the (a_bar,
+    psi) product is identifiable, and the returned ``h_e_hat`` is that
+    product.
     """
     config = config or MfConfig()
     if config.solver not in ("am", "gd"):
         raise ValueError(f"unknown solver {config.solver!r}")
+    iterate = am_iterate if config.solver == "am" else gd_iterate
 
     state = _initial_state(obs, sched)
     converged = False
     for _ in range(config.resolved_max_iters()):
-        if config.solver == "am":
-            state = am_iterate(state, obs, sched)
-        else:
-            state = gd_iterate(state, obs, sched, config)
-        prev, curr = state.objective_history[-2], state.objective_history[-1]
-        if prev <= 0.0 or (prev - curr) <= config.tol_objective * prev:
+        state = iterate(state, obs, sched)
+        if _stalled(state.objective_history, obs):
             converged = True
             break
 
-    n_bs = sched.pilots.shape[1]
-    h_e_hat = np.outer(state.a_bar, array_response(n_bs, state.psi).conj())
     return EstimateResult(
-        h_e_hat=h_e_hat,
         a_bar_hat=state.a_bar,
+        a_b_hat=array_response(sched.pilots.shape[1], state.psi),
         psi_hat=state.psi,
-        objective_final=state.objective_history[-1],
-        iters_used=len(state.objective_history) - 1,
         converged=converged,
         objective_history=state.objective_history,
     )
@@ -347,7 +378,5 @@ def estimate_multipath(
         partial = ObservationSet(values=residual, noise_var=obs.noise_var)
         result = estimate_single_user(partial, sched, config)
         results.append(result)
-        a_b = array_response(sched.pilots.shape[1], result.psi_hat)
-        predicted = (sched.phases @ result.a_bar_hat) * (sched.pilots @ a_b.conj())
-        residual = residual - predicted
+        residual = residual - _predict(result.a_bar_hat, result.a_b_hat, sched)
     return results

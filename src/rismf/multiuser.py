@@ -66,7 +66,7 @@ def _phase_gram(phase_matrix: np.ndarray) -> np.ndarray:
 
 
 def estimate_a_q(s_q: np.ndarray, phase_matrix: np.ndarray, psi_hat: float) -> np.ndarray:
-    """LS estimate of one user's RIS-side factor at the given angle.
+    """LS estimate of a user's RIS-side factor at the given angle.
 
     The textbook solution is the conjugated pseudoinverse of the (n k, m)
     matrix ``theta^T kron a_b`` applied to vec(S_q). Because the left factor
@@ -75,12 +75,14 @@ def estimate_a_q(s_q: np.ndarray, phase_matrix: np.ndarray, psi_hat: float) -> n
 
         a_bar = (theta theta^H)^{-1} theta S_q^H a_b(psi_hat),
 
-    computed here without forming the Kronecker matrix.
+    computed here without forming the Kronecker matrix. ``s_q`` is one
+    despread user, shape (n_bs, k), giving shape (m,), or a stack of them,
+    shape (q, n_bs, k), giving shape (q, m) from one Gram.
     """
     gram = _phase_gram(phase_matrix)
-    a_b = array_response(s_q.shape[0], psi_hat)
-    rhs = phase_matrix @ (s_q.conj().T @ a_b)
-    return np.linalg.solve(gram, rhs)
+    a_b = array_response(s_q.shape[-2], psi_hat)
+    projected = s_q.conj().swapaxes(-1, -2) @ a_b  # (k,) or (q, k)
+    return np.linalg.solve(gram, phase_matrix @ projected.T).T
 
 
 def predicted_mse(noise_var: float, t_symbols: int, phase_matrix: np.ndarray) -> float:
@@ -105,15 +107,13 @@ def estimate_multi_user(
     ``psi_override`` injects a known angle (skipping stage 1), used to study
     the stage-2 error floor in isolation.
     """
-    despread_all = [despread(obs, sched, q) for q in range(sched.q_users)]
+    despread_all = np.stack([despread(obs, sched, q) for q in range(sched.q_users)])
     if psi_override is not None:
         psi_hat = float(psi_override)
     else:
         psi_hat = estimate_psi_uplink(despread_all)
 
-    a_bar_hats = np.stack(
-        [estimate_a_q(s_q, sched.phase_matrix, psi_hat) for s_q in despread_all]
-    )
+    a_bar_hats = estimate_a_q(despread_all, sched.phase_matrix, psi_hat)
     a_b = array_response(obs.values.shape[1], psi_hat)
     h_hats = a_b[None, :, None] * a_bar_hats.conj()[:, None, :]
     return MultiUserEstimate(

@@ -90,12 +90,13 @@ class TestLrRankone:
     def test_unit_norm_scale_convention(self):
         _, sched, _, obs = make_case(313, noise_var=0.5)
         result = lr_rankone(obs, sched)
-        np.testing.assert_allclose(np.linalg.norm(result.factors.v), 1.0, rtol=1e-9)
+        np.testing.assert_allclose(np.linalg.norm(result.a_b_hat), 1.0, rtol=1e-9)
         np.testing.assert_allclose(
-            result.factors.matrix,
-            np.outer(result.factors.u, result.factors.v.conj()),
+            result.h_e_hat,
+            np.outer(result.a_bar_hat, result.a_b_hat.conj()),
             atol=1e-13,
         )
+        assert result.psi_hat is None
 
     def test_short_budget_rejected(self):
         _, sched, _, obs = make_case(314, n_bs=4, m_ris=6, k=5)

@@ -92,6 +92,12 @@ class TestSweepCommands:
         assert main(["single-user", "--config", str(bad)]) == 1
         assert "not valid JSON" in capsys.readouterr().err
 
+    def test_non_object_config(self, tmp_path, capsys):
+        config = tmp_path / "spec.json"
+        config.write_text("[1, 2]")
+        assert main(["single-user", "--config", str(config)]) == 1
+        assert "JSON object" in capsys.readouterr().err
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["single-user", "--config", str(tmp_path / "absent.json")]) == 2
         assert "i/o error:" in capsys.readouterr().err
@@ -109,6 +115,17 @@ class TestOverheadCommand:
         config.write_text(json.dumps({"dims": {"n_bs": 2, "m_ris": 3}}))
         assert main(["overhead", "--config", str(config)]) == 0
         assert "LS,6" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "body",
+        [{"dims": {"n_bs": 2, "m_ris": 3, "antennas": 4}}, [2, 3], {"dims": [2, 3]}],
+        ids=["unknown-key", "list", "dims-list"],
+    )
+    def test_bad_config_is_an_invalid_spec(self, tmp_path, capsys, body):
+        config = tmp_path / "dims.json"
+        config.write_text(json.dumps(body))
+        assert main(["overhead", "--config", str(config)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_json_output_file(self, tmp_path):
         out = tmp_path / "overhead.json"

@@ -365,6 +365,29 @@ class TestPersistence:
         with pytest.raises(ValueError, match="keys"):
             read_records(out, format="json")
 
+    @pytest.mark.parametrize("row", ["single_user_downlink,LS,0.0,3,0,17,0.5",
+                                     "single_user_downlink,LS,0.0,3,0,17,0.5,,"])
+    def test_csv_row_width_rejected(self, tmp_path, row):
+        out = tmp_path / "short.csv"
+        out.write_text(f"{CSV_HEADER}\n{row}\n")
+        with pytest.raises(ValueError, match="cells"):
+            read_records(out)
+
+    @pytest.mark.parametrize("value", ["nan", "-0.5"])
+    def test_invalid_csv_record_rejected(self, tmp_path, value):
+        out = tmp_path / "bad.csv"
+        out.write_text(f"{CSV_HEADER}\nsingle_user_downlink,LS,0.0,3,0,17,{value},\n")
+        with pytest.raises(ValueError, match="nmse"):
+            read_records(out)
+
+    @pytest.mark.parametrize("value", [float("nan"), -0.5, "0.5"])
+    def test_invalid_json_record_rejected(self, tmp_path, value):
+        raw = dataclasses.asdict(ResultRecord("single_user_downlink", "LS", 0.0, 3, 0, 17, value, None))
+        out = tmp_path / "bad.json"
+        out.write_text(json.dumps([raw]))
+        with pytest.raises(ValueError, match="nmse"):
+            read_records(out, format="json")
+
     def test_header_mismatch_rejected(self, tmp_path):
         out = tmp_path / "tampered.csv"
         out.write_text("scenario,estimator\n")

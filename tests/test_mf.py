@@ -260,17 +260,6 @@ class TestGdGradients:
 
 
 class TestGdIterate:
-    def test_zero_step_is_identity(self):
-        chan, sched, cas, obs = make_case(171, noise_var=0.5)
-        rng = np.random.default_rng(172)
-        state = MfState(
-            a_bar=rng.standard_normal(32) + 1j * rng.standard_normal(32),
-            psi=0.25,
-        )
-        new = gd_iterate(state, obs, sched, MfConfig(solver="gd", step_size=0.0, backtracking=False))
-        np.testing.assert_array_equal(new.a_bar, state.a_bar)
-        assert new.psi == state.psi
-
     def test_backtracking_keeps_objective_monotone(self):
         chan, sched, cas, obs = make_case(173, noise_var=1.0)
         rng = np.random.default_rng(174)
@@ -278,10 +267,9 @@ class TestGdIterate:
             a_bar=rng.standard_normal(32) + 1j * rng.standard_normal(32),
             psi=float(rng.uniform()),
         )
-        config = MfConfig(solver="gd", step_size=0.5)
         values = [objective(state.a_bar, state.psi, obs, sched)]
         for _ in range(50):
-            state = gd_iterate(state, obs, sched, config)
+            state = gd_iterate(state, obs, sched)
             values.append(state.objective_history[-1])
         diffs = np.diff(values)
         assert np.all(diffs <= 1e-12)

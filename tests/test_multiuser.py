@@ -85,6 +85,16 @@ class TestEstimateAQ:
             fast = estimate_a_q(s_q, phase, psi)
             np.testing.assert_allclose(fast, reference, atol=1e-9)
 
+    def test_stacked_users_match_per_user_calls(self):
+        chan, g_up, sched, obs = make_uplink_case(223, noise_var=0.5)
+        stack = np.stack([despread(obs, sched, q) for q in range(sched.q_users)])
+        psi = estimate_psi_uplink(stack)
+        stacked = estimate_a_q(stack, sched.phase_matrix, psi)
+        assert stacked.shape == (sched.q_users, 50)
+        for s_q, a_hat in zip(stack, stacked):
+            single = estimate_a_q(s_q, sched.phase_matrix, psi)
+            assert np.linalg.norm(a_hat - single) <= 1e-12 * np.linalg.norm(single)
+
     def test_short_schedule_rejected(self):
         phase = dft_phase_schedule(6, 6)[:, :5]
         with pytest.raises(ValueError):
@@ -156,6 +166,19 @@ class TestEstimateMultiUser:
         chan, g_up, sched, obs = make_uplink_case(243, noise_var=1.0)
         est = estimate_multi_user(obs, sched, psi_override=chan.psi)
         assert est.psi_hat == chan.psi
+
+    def test_phase_gram_formed_twice_per_call(self, monkeypatch):
+        # once for the stacked stage-2 solve, once for the predicted MSE
+        from rismf import multiuser
+
+        calls = []
+        original = multiuser._phase_gram
+        monkeypatch.setattr(
+            multiuser, "_phase_gram", lambda phase: calls.append(1) or original(phase)
+        )
+        _, _, sched, obs = make_uplink_case(246, noise_var=0.5)
+        estimate_multi_user(obs, sched)
+        assert len(calls) == 2
 
     def test_nan_data_rejected(self):
         _, _, sched, obs = make_uplink_case(245, noise_var=0.5)
