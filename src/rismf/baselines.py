@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from .mf import EstimateResult, _misfit, _scaled_lstsq, _stalled, spectral_matrix
+from .mf import EstimateResult, _misfit, _rounding_floor, _scaled_lstsq, _stalled, spectral_matrix
 from .signals import ObservationSet, PilotSchedule
 
 __all__ = ["ls_full", "lr_rankone"]
@@ -56,6 +56,7 @@ def lr_rankone(obs: ObservationSet, sched: PilotSchedule) -> EstimateResult:
     u = left[:, 0] * sing[0]
     v = right_h[0, :].conj()
 
+    floor = _rounding_floor(obs)
     history = [_misfit(u, v, obs, sched)]
     converged = False
     for _ in range(_LR_MAX_ITERS):
@@ -64,7 +65,7 @@ def lr_rankone(obs: ObservationSet, sched: PilotSchedule) -> EstimateResult:
         norm_v = np.linalg.norm(v)
         u, v = u * norm_v, v / norm_v
         history.append(_misfit(u, v, obs, sched))
-        if _stalled(history, obs):
+        if _stalled(history, floor):
             converged = True
             break
 

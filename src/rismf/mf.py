@@ -108,14 +108,18 @@ def _misfit(u: np.ndarray, v: np.ndarray, obs: ObservationSet, sched: PilotSched
     return float(np.sum(np.abs(_predict(u, v, sched) - obs.values) ** 2))
 
 
-def _stalled(history: list[float], obs: ObservationSet) -> bool:
-    """The stop rule of every solver: the last sweep lowered the misfit by at
-    most a ``_TOL_OBJECTIVE`` fraction, or the misfit is at the rounding floor
-    of the data energy (exact fits contract geometrically and never stall in
-    relative terms)."""
-    prev, curr = history[-2], history[-1]
+def _rounding_floor(obs: ObservationSet) -> float:
+    """Misfit at which every solver stops: exact fits contract geometrically
+    and never stall in relative terms, so they stop at the rounding floor of
+    the data energy."""
     energy = float(np.sum(np.abs(obs.values) ** 2))
-    floor = np.finfo(float).eps ** 2 * 1e6 * max(energy, np.finfo(float).tiny)
+    return np.finfo(float).eps ** 2 * 1e6 * max(energy, np.finfo(float).tiny)
+
+
+def _stalled(history: list[float], floor: float) -> bool:
+    """The stop rule of every solver: the last sweep lowered the misfit by at
+    most a ``_TOL_OBJECTIVE`` fraction, or the misfit is at ``floor``."""
+    prev, curr = history[-2], history[-1]
     return curr <= floor or (prev - curr) <= _TOL_OBJECTIVE * prev
 
 
@@ -342,10 +346,11 @@ def estimate_single_user(
     iterate = am_iterate if config.solver == "am" else gd_iterate
 
     state = _initial_state(obs, sched)
+    floor = _rounding_floor(obs)
     converged = False
     for _ in range(config.resolved_max_iters()):
         state = iterate(state, obs, sched)
-        if _stalled(state.objective_history, obs):
+        if _stalled(state.objective_history, floor):
             converged = True
             break
 

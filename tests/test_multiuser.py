@@ -173,9 +173,12 @@ class TestEstimateMultiUser:
 
         calls = []
         original = multiuser._phase_gram
-        monkeypatch.setattr(
-            multiuser, "_phase_gram", lambda phase: calls.append(1) or original(phase)
-        )
+
+        def counted(phase_matrix):
+            calls.append(phase_matrix)
+            return original(phase_matrix)
+
+        monkeypatch.setattr(multiuser, "_phase_gram", counted)
         _, _, sched, obs = make_uplink_case(246, noise_var=0.5)
         estimate_multi_user(obs, sched)
         assert len(calls) == 2
