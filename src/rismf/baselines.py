@@ -20,7 +20,10 @@ def ls_full(obs: ObservationSet, sched: PilotSchedule) -> np.ndarray:
     Solves ``r_k = (x_k^T kron theta_k^T) vec(h_e)`` over all slots; needs
     k >= m_ris * n_bs. The square case is solved directly; the tall case via
     the normal equations (Cholesky), cheap at these sizes and accurate enough
-    for the noisy regime the baseline is used in.
+    for the noisy regime the baseline is used in. BLAS ``zherk`` forms one
+    triangle of the Gram from the design's Fortran-ordered transpose, so the
+    design is never copied; that triangle is the conjugate Gram, which is
+    factored as is and solved against the conjugate right-hand side.
     """
     k, n_bs = sched.pilots.shape
     m_ris = sched.phases.shape[1]
@@ -34,9 +37,13 @@ def ls_full(obs: ObservationSet, sched: PilotSchedule) -> np.ndarray:
         if k == unknowns:
             vec = np.linalg.solve(design, obs.values)
         else:
-            gram = design.conj().T @ design
-            rhs = design.conj().T @ obs.values
-            vec = scipy.linalg.solve(gram, rhs, assume_a="pos")
+            # lower triangle of design^T conj(design) = conj(design^H design)
+            conj_gram = scipy.linalg.blas.zherk(1.0, design.T, lower=1)
+            factor = scipy.linalg.cho_factor(
+                conj_gram, lower=True, overwrite_a=True, check_finite=False
+            )
+            conj_rhs = obs.values.conj() @ design
+            vec = scipy.linalg.cho_solve(factor, conj_rhs, check_finite=False).conj()
     except np.linalg.LinAlgError as err:  # singular, or a Gram not positive definite
         raise ValueError(f"full LS design is rank deficient: {err}") from err
     return vec.reshape(n_bs, m_ris).T

@@ -248,6 +248,15 @@ class ResultRecord:
     se: float | None
 
     def validate(self):
+        if not isinstance(self.snr_db, numbers.Real) or not math.isfinite(self.snr_db):
+            raise ValueError(f"snr_db is {self.snr_db!r}; records must carry a finite number")
+        for name in ("k", "trial", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} is {value!r}; records must carry an integer")
+        for name in ("k", "trial"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be nonnegative")
         for name in ("nmse", "se"):
             value = getattr(self, name)
             if value is None:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import array_response
-from .mf import maximize_over_manifold
+from .mf import _COND_LIMIT, maximize_over_manifold
 from .signals import ObservationSet, UplinkSchedule, despread
 
 __all__ = [
@@ -23,8 +23,6 @@ __all__ = [
     "predicted_mse",
     "estimate_multi_user",
 ]
-
-_COND_LIMIT = 1e12
 
 
 @dataclass

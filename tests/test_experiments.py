@@ -388,6 +388,18 @@ class TestPersistence:
         with pytest.raises(ValueError, match="nmse"):
             read_records(out, format="json")
 
+    @pytest.mark.parametrize("name,value", [
+        ("snr_db", "high"), ("snr_db", float("nan")), ("k", "x"), ("k", 3.0), ("k", True),
+        ("k", -3), ("trial", -1), ("trial", None), ("seed", "17"),
+    ])
+    def test_invalid_json_field_rejected(self, tmp_path, name, value):
+        raw = dataclasses.asdict(ResultRecord("single_user_downlink", "LS", 0.0, 3, 0, 17, 0.5, None))
+        raw[name] = value
+        out = tmp_path / "bad.json"
+        out.write_text(json.dumps([raw]))
+        with pytest.raises(ValueError, match=name):
+            read_records(out, format="json")
+
     def test_header_mismatch_rejected(self, tmp_path):
         out = tmp_path / "tampered.csv"
         out.write_text("scenario,estimator\n")

@@ -11,15 +11,18 @@ from rismf import (
     downlink_observe,
     estimate_multipath,
     estimate_single_user,
+    lr_rankone,
     make_pilot_schedule,
     nmse,
     sample_channel,
     sample_multipath_channel,
+    simulate_downlink,
     simulate_uplink,
 )
 from rismf.channel import steering_matrix
 from rismf.mf import (
     MfState,
+    _scaled_lstsq,
     am_iterate,
     gd_gradients,
     gd_iterate,
@@ -200,6 +203,42 @@ class TestLsABar:
         _, sched, _, obs = make_case(143, k=31)
         with pytest.raises(ValueError):
             ls_a_bar(0.37, obs, sched)
+
+
+class TestScaledLstsq:
+    """The shared LS step of the a_bar update and both LR half steps."""
+
+    @pytest.mark.parametrize("snr_db,k", [(-10.0, 400), (0.0, 400), (20.0, 400), (0.0, 50)])
+    def test_matches_orthogonal_lstsq(self, snr_db, k):
+        dims = SystemDims(n_bs=32, m_ris=50, k_pilots=k)
+        rng = np.random.default_rng(151)
+        cas, sched, obs = simulate_downlink(dims, 10.0 ** (-snr_db / 10.0), rng, "random")
+        for psi in (cas.psi, 0.37):
+            gains = sched.pilots @ array_response(32, psi).conj()
+            reference = np.linalg.lstsq(gains[:, None] * sched.phases, obs.values, rcond=None)[0]
+            solution = _scaled_lstsq(gains, sched.phases, obs.values)
+            assert np.linalg.norm(solution - reference) <= 1e-10 * np.linalg.norm(reference)
+
+    def test_tall_rank_deficient_design_rejected(self):
+        dims = SystemDims(n_bs=32, m_ris=50, k_pilots=400)
+        _, sched, obs = simulate_downlink(dims, 0.1, np.random.default_rng(152), "random")
+        phases = sched.phases.copy()
+        phases[:, -1] = phases[:, 0]  # the last RIS element repeats the first
+        repeated = PilotSchedule(pilots=sched.pilots, phases=phases)
+        with pytest.raises(ValueError, match="rank deficient"):
+            ls_a_bar(0.37, obs, repeated)
+        with pytest.raises(ValueError, match="rank deficient"):
+            lr_rankone(obs, repeated)
+
+    def test_ill_conditioned_gram_rejected(self):
+        # Cholesky succeeds on this Gram (condition 1e14); the condition estimate does not
+        rng = np.random.default_rng(153)
+        basis, _ = np.linalg.qr(rng.standard_normal((40, 6)) + 1j * rng.standard_normal((40, 6)))
+        values = rng.standard_normal(40) + 0j
+        gains = np.ones(40)
+        _scaled_lstsq(gains, basis * np.logspace(0, -5, 6), values)
+        with pytest.raises(ValueError, match="rank deficient"):
+            _scaled_lstsq(gains, basis * np.logspace(0, -7, 6), values)
 
 
 class TestAmIterate:

@@ -3,17 +3,28 @@
 ``r_k = theta_k^T h_e x_k + n_k`` is linear in ``h_e`` and a sum over pilot
 slots, so scaling the data by a complex ``c`` must scale every estimate by
 ``c`` (covering both scale and global phase), and the order of the slots
-must not matter.
+must not matter. The BS-side angle enters only through ``exp(2j pi psi n)``,
+so the angles ``psi`` and ``psi + 1`` must give the same estimate.
 """
 
 import cmath
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rismf import ESTIMATORS, PilotSchedule, SystemDims, simulate_downlink
+from rismf import (
+    ESTIMATORS,
+    PilotSchedule,
+    SystemDims,
+    array_response,
+    cascaded_downlink,
+    downlink_observe,
+    make_pilot_schedule,
+    sample_channel,
+    simulate_downlink,
+)
 from rismf.signals import ObservationSet
 
 DIMS = SystemDims(n_bs=4, m_ris=6, k_pilots=24)
@@ -34,6 +45,18 @@ scales = st.builds(
 def make_cell(seed):
     _, sched, obs = simulate_downlink(DIMS, NOISE_VAR, np.random.default_rng(seed), "random")
     return sched, obs
+
+
+def make_cell_at_angle(seed, psi):
+    """A cell whose single BS-RIS path leaves the BS at angle ``psi``."""
+    rng = np.random.default_rng(seed)
+    chan = sample_channel(DIMS, rng)
+    sched = make_pilot_schedule(DIMS, rng)
+    g = chan.beta_br * np.outer(
+        array_response(DIMS.m_ris, chan.phi), array_response(DIMS.n_bs, psi).conj()
+    )
+    cascade = cascaded_downlink(chan.h_r, g, psi=psi)
+    return sched, downlink_observe(cascade, sched, NOISE_VAR, rng)
 
 
 def relative_gap(a, b):
@@ -59,3 +82,22 @@ class TestInvariances:
         shuffled_sched = PilotSchedule(pilots=sched.pilots[order], phases=sched.phases[order])
         shuffled_obs = ObservationSet(values=obs.values[order], noise_var=obs.noise_var)
         assert relative_gap(estimate(shuffled_obs, shuffled_sched), estimate(obs, sched)) <= RTOL
+
+
+angles = st.one_of(
+    st.floats(min_value=0.0, max_value=1e-3),
+    st.floats(min_value=1.0 - 1e-3, max_value=1.0, exclude_max=True),
+    st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+)
+
+
+@CHECKS
+@given(seed=seeds, psi=angles)
+@example(seed=0, psi=0.0)
+@example(seed=1, psi=5e-4)
+@example(seed=2, psi=1.0 - 5e-4)
+def test_angle_wrap_leaves_estimate_unchanged(seed, psi):
+    estimate = ESTIMATORS["MF_AM"].estimate
+    sched, obs = make_cell_at_angle(seed, psi)
+    wrapped_sched, wrapped_obs = make_cell_at_angle(seed, psi + 1.0)
+    assert relative_gap(estimate(wrapped_obs, wrapped_sched), estimate(obs, sched)) <= RTOL
