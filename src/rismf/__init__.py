@@ -18,7 +18,6 @@ from .channel import (
     cascaded_uplink,
     complex_normal,
     sample_channel,
-    sample_multipath_channel,
     steering_matrix,
 )
 from .signals import (
@@ -40,7 +39,6 @@ from .mf import (
     MfConfig,
     MfState,
     am_iterate,
-    estimate_multipath,
     estimate_single_user,
     gd_gradients,
     gd_iterate,

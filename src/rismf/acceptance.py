@@ -19,7 +19,6 @@ from .channel import (
     SystemDims,
     array_response,
     cascaded_downlink,
-    cascaded_uplink,
     sample_channel,
 )
 from .experiments import (
@@ -59,9 +58,9 @@ def _criterion_predicted_mse_empirical():
     total = 0.0
     for trial in range(n_trials):
         rng = _rng("predicted-mse", trial)
-        chan, g_up, sched, obs = simulate_uplink(dims, noise_var, rng, "dft")
-        estimate = estimate_multi_user(obs, sched, psi_override=chan.psi)
-        truth = cascaded_uplink(g_up, chan.h_users[0], psi=chan.psi).a_bar
+        cascades, sched, obs = simulate_uplink(dims, noise_var, rng, "dft")
+        estimate = estimate_multi_user(obs, sched, psi_override=cascades[0].psi)
+        truth = cascades[0].a_bar
         total += float(np.sum(np.abs(estimate.a_bar_hats[0] - truth) ** 2))
     empirical = total / n_trials
     passed = abs(empirical / target - 1.0) <= 0.05
@@ -273,12 +272,11 @@ def _criterion_pilot_scaling():
         err, energy = 0.0, 0.0
         for trial in range(200):
             rng = np.random.default_rng(trial_seed(_MASTER, "MF", 0, k_index, trial))
-            chan, g_up, sched, obs = simulate_uplink(dims_k, 0.1, rng, "dft")
+            cascades, sched, obs = simulate_uplink(dims_k, 0.1, rng, "dft")
             estimate = estimate_multi_user(obs, sched)
-            for q in range(dims.q_users):
-                truth = cascaded_uplink(g_up, chan.h_users[q], psi=chan.psi).h_e
-                err += float(np.sum(np.abs(estimate.h_hats[q] - truth) ** 2))
-                energy += float(np.sum(np.abs(truth) ** 2))
+            for cascade, h_hat in zip(cascades, estimate.h_hats):
+                err += float(np.sum(np.abs(h_hat - cascade.h_e) ** 2))
+                energy += float(np.sum(np.abs(cascade.h_e) ** 2))
         aggregates.append(err / energy)
     decreasing = all(
         aggregates[i + 1] < aggregates[i] for i in range(len(aggregates) - 1)
@@ -291,11 +289,10 @@ def _criterion_pilot_scaling():
         total, count = 0.0, 0
         for trial in range(200):
             rng = np.random.default_rng(trial_seed(_MASTER, "angle-injected-mse", 0, k_index, trial))
-            chan, g_up, sched, obs = simulate_uplink(dims_k, noise_var, rng, "dft")
-            estimate = estimate_multi_user(obs, sched, psi_override=chan.psi)
-            for q in range(dims.q_users):
-                truth = cascaded_uplink(g_up, chan.h_users[q], psi=chan.psi).a_bar
-                total += float(np.sum(np.abs(estimate.a_bar_hats[q] - truth) ** 2))
+            cascades, sched, obs = simulate_uplink(dims_k, noise_var, rng, "dft")
+            estimate = estimate_multi_user(obs, sched, psi_override=cascades[0].psi)
+            for cascade, a_bar_hat in zip(cascades, estimate.a_bar_hats):
+                total += float(np.sum(np.abs(a_bar_hat - cascade.a_bar) ** 2))
                 count += 1
         mse[k] = total / count
     ratios = [mse[2 * k] / mse[k] for k in (50, 100, 200)]

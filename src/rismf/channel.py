@@ -5,8 +5,9 @@ Conventions used throughout the package:
 * Angles are normalized spatial frequencies in [0, 1) (element spacing times
   cos of the physical angle over the wavelength); every array response is
   1-periodic in its angle.
-* The BS-RIS channel is rank one per path: ``g = beta * a_r(phi) a_b(psi)^H``
-  with ``a_b`` of length ``n_bs`` and ``a_r`` of length ``m_ris``.
+* The BS-RIS channel is a single line-of-sight path, hence rank one:
+  ``g = beta * a_r(phi) a_b(psi)^H`` with ``a_b`` of length ``n_bs`` and
+  ``a_r`` of length ``m_ris``.
 * RIS-user channels are i.i.d. standard circularly symmetric complex Gaussian;
   the RIS-user path gain is absorbed into them, and the direct BS-user path is
   taken as zero.
@@ -26,7 +27,6 @@ __all__ = [
     "steering_matrix",
     "complex_normal",
     "sample_channel",
-    "sample_multipath_channel",
     "cascaded_downlink",
     "cascaded_uplink",
 ]
@@ -90,13 +90,10 @@ class SystemDims:
 
 @dataclass
 class ChannelRealization:
-    """One draw of the BS-RIS channel and the RIS-user channels.
+    """One draw of the single-path BS-RIS channel and the RIS-user channels.
 
-    ``g_matrix`` is stored in the downlink orientation (m_ris, n_bs). For a
-    single-path draw, ``psi``, ``phi`` and ``beta_br`` describe the factor
-    structure and ``paths`` is None; a multipath draw lists every
-    ``(beta, phi, psi)`` triple in ``paths`` and keeps the first path's
-    parameters in the scalar fields.
+    ``g_matrix`` is stored in the downlink orientation (m_ris, n_bs) and
+    equals ``beta_br a_r(phi) a_b(psi)^H``.
     """
 
     psi: float
@@ -104,7 +101,6 @@ class ChannelRealization:
     beta_br: complex
     g_matrix: np.ndarray
     h_users: np.ndarray
-    paths: list[tuple[complex, float, float]] | None = None
 
     @property
     def h_r(self) -> np.ndarray:
@@ -112,18 +108,16 @@ class ChannelRealization:
         return self.h_users[0]
 
     def g_uplink(self) -> np.ndarray:
-        """BS-RIS channel in the uplink orientation, shape (n_bs, m_ris).
+        """BS-RIS channel in the uplink orientation, ``beta_br a_b(psi) a_r(phi)^H``.
 
-        Built from the path parameters as ``sum_l beta_l a_b(psi_l) a_r(phi_l)^H``
-        rather than by transposing ``g_matrix`` (the two orientations are not
-        transposes of each other; they share the path geometry).
+        Shape (n_bs, m_ris). Built from the path parameters rather than by
+        transposing ``g_matrix``: the two orientations are not transposes of
+        each other, they share the path geometry.
         """
         m_ris, n_bs = self.g_matrix.shape
-        triples = self.paths if self.paths is not None else [(self.beta_br, self.phi, self.psi)]
-        g = np.zeros((n_bs, m_ris), dtype=complex)
-        for beta, phi, psi in triples:
-            g += beta * np.outer(array_response(n_bs, psi), array_response(m_ris, phi).conj())
-        return g
+        return self.beta_br * np.outer(
+            array_response(n_bs, self.psi), array_response(m_ris, self.phi).conj()
+        )
 
 
 @dataclass
@@ -131,8 +125,8 @@ class CascadedChannel:
     """Cascaded BS-RIS-user channel together with its rank-one factors.
 
     ``h_e`` is (m_ris, n_bs) in the downlink and (n_bs, m_ris) in the uplink.
-    ``a_bar`` and ``psi`` are only set when the underlying BS-RIS channel is
-    single-path, in which case ``h_e == a_bar a_b(psi)^H`` (downlink) or
+    ``a_bar`` and ``psi`` are set when the BS-side angle is supplied, in
+    which case ``h_e == a_bar a_b(psi)^H`` (downlink) or
     ``h_e == a_b(psi) a_bar^H`` (uplink).
     """
 
@@ -150,72 +144,25 @@ def sample_channel(dims: SystemDims, rng: np.random.Generator) -> ChannelRealiza
     variance ``n_bs``, which compensates the unit-norm array responses and
     pilots: the mean receive power of a training sample is then exactly 1, so
     a nominal SNR of ``1 / noise_var`` is also the realized per-sample SNR.
+    The draws are psi, phi, the gain, then ``h_users``, each as an array
+    (``size=1`` for the scalars), so a seed fixes every bit of the channel.
     """
-    return sample_multipath_channel(dims, 1, rng)
-
-
-def sample_multipath_channel(
-    dims: SystemDims,
-    n_paths: int,
-    rng: np.random.Generator,
-    min_gap: float | None = None,
-) -> ChannelRealization:
-    """Draw an ``n_paths``-path BS-RIS channel with separated BS-side angles.
-
-    ``min_gap`` is the smallest allowed circular distance between any two
-    BS-side angles (default ``2 / n_bs``, two Rayleigh widths). The angles are
-    rejection sampled; a configuration that cannot satisfy the gap raises.
-    """
-    if n_paths < 1:
-        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
-    if min_gap is None:
-        min_gap = 2.0 / dims.n_bs
-    if n_paths > 1 and n_paths * min_gap >= 1.0:
-        raise ValueError(
-            f"cannot place {n_paths} angles on the unit circle with gap {min_gap}"
-        )
-
-    for _ in range(10_000):
-        psis = rng.uniform(size=n_paths)
-        if n_paths == 1:
-            break
-        diff = np.abs(psis[:, None] - psis[None, :])
-        circ = np.minimum(diff, 1.0 - diff)
-        if circ[np.triu_indices(n_paths, 1)].min() >= min_gap:
-            break
-    else:
-        raise RuntimeError("angle rejection sampling did not terminate")
-
-    phis = rng.uniform(size=n_paths)
-    # Per-path gain variance n_bs calibrates the link budget so that a unit
-    # norm pilot hitting the cascade produces unit average receive power;
-    # only then does the nominal SNR equal 1/noise_var in both directions.
-    betas = complex_normal(rng, n_paths, var=float(dims.n_bs))
-
-    g = np.zeros((dims.m_ris, dims.n_bs), dtype=complex)
-    for beta, phi, psi in zip(betas, phis, psis):
-        g += beta * np.outer(
-            array_response(dims.m_ris, phi), array_response(dims.n_bs, psi).conj()
-        )
+    psi = rng.uniform(size=1)[0]
+    phi = rng.uniform(size=1)[0]
+    beta = complex_normal(rng, 1, var=float(dims.n_bs))[0]
+    g = beta * np.outer(array_response(dims.m_ris, phi), array_response(dims.n_bs, psi).conj())
     h_users = complex_normal(rng, (dims.q_users, dims.m_ris))
-
-    paths = None if n_paths == 1 else list(zip(betas, phis, psis))
     return ChannelRealization(
-        psi=float(psis[0]),
-        phi=float(phis[0]),
-        beta_br=complex(betas[0]),
-        g_matrix=g,
-        h_users=h_users,
-        paths=paths,
+        psi=float(psi), phi=float(phi), beta_br=complex(beta), g_matrix=g, h_users=h_users
     )
 
 
 def cascaded_downlink(h_r: np.ndarray, g: np.ndarray, psi: float | None = None) -> CascadedChannel:
     """Downlink cascaded channel ``h_e = diag(h_r^H) g``, shape (m_ris, n_bs).
 
-    When ``psi`` (the BS-side angle of a single-path ``g``) is given, the
-    compound RIS-side factor is recovered as ``a_bar = h_e a_b(psi)``, exact
-    whenever ``h_e`` is rank one with right factor ``a_b(psi)``.
+    When ``psi`` (the BS-side angle of ``g``) is given, the compound RIS-side
+    factor is recovered as ``a_bar = h_e a_b(psi)``, exact whenever ``h_e`` is
+    rank one with right factor ``a_b(psi)``.
     """
     h_e = h_r.conj()[:, None] * g
     a_bar = None
@@ -228,7 +175,7 @@ def cascaded_uplink(g: np.ndarray, h_q: np.ndarray, psi: float | None = None) ->
     """Uplink cascaded channel ``h_e = g diag(h_q)``, shape (n_bs, m_ris).
 
     ``g`` must be in the uplink orientation (n_bs, m_ris). With ``psi`` given,
-    the RIS-side factor is ``a_bar = h_e^H a_b(psi)``, exact for single-path ``g``.
+    the RIS-side factor is ``a_bar = h_e^H a_b(psi)``, exact for rank-one ``g``.
     """
     h_e = g * h_q[None, :]
     a_bar = None

@@ -168,13 +168,20 @@ def simulate_uplink(
     """Synthesize one multi-user uplink training block, drawing in the same
     order as :func:`simulate_downlink`.
 
-    Returns ``(chan, g_up, sched, obs)`` with ``g_up = chan.g_uplink()``;
-    user q's truth is ``cascaded_uplink(g_up, chan.h_users[q], psi=chan.psi)``.
+    Returns ``(cascades, sched, obs)``; ``cascades[q]`` is user q's truth,
+    ``cascaded_uplink(g_up, h_users[q], psi)``. Building it draws nothing.
     """
     chan = sample_channel(dims, rng)
     g_up = chan.g_uplink()
     sched = make_uplink_schedule(dims, rng, phase_design=phase_design)
-    return chan, g_up, sched, uplink_observe(g_up, chan.h_users, sched, noise_var, rng)
+    obs = uplink_observe(g_up, chan.h_users, sched, noise_var, rng)
+    cascades = [cascaded_uplink(g_up, h_q, psi=chan.psi) for h_q in chan.h_users]
+    return cascades, sched, obs
+
+
+def _is_count(value) -> bool:
+    """True for a positive integer; bools are not counts."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1
 
 
 @dataclass
@@ -198,10 +205,19 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario {self.scenario!r}")
-        if self.n_trials < 1:
-            raise ValueError("n_trials must be >= 1")
-        if not self.snr_grid_db or not self.k_grid:
-            raise ValueError("snr and k grids must be non-empty")
+        if not _is_count(self.n_trials):
+            raise ValueError(f"n_trials must be a positive integer, got {self.n_trials!r}")
+        for name in ("snr_grid_db", "k_grid"):
+            grid = getattr(self, name)
+            if not isinstance(grid, list) or not grid:
+                raise ValueError(f"{name} must be a non-empty list, got {grid!r}")
+        for snr_db in self.snr_grid_db:
+            if isinstance(snr_db, bool) or not isinstance(snr_db, numbers.Real) \
+                    or not math.isfinite(snr_db):
+                raise ValueError(f"snr_grid_db holds {snr_db!r}; SNRs must be finite numbers")
+        for k in self.k_grid:
+            if not _is_count(k):
+                raise ValueError(f"k_grid holds {k!r}; pilot counts must be positive integers")
         registry = SCENARIOS[self.scenario]
         self.estimators = tuple(self.estimators or registry)
         unknown = set(self.estimators) - set(registry)
@@ -312,12 +328,9 @@ def _multi_user_cell(spec, estimator, snr_db, k, trial, snr_index, k_index):
     dims = dataclasses.replace(spec.dims, k_pilots=k)
     noise_var = 10.0 ** (-snr_db / 10.0)
     rng = np.random.default_rng(seed)
-    chan, g_up, sched, obs = simulate_uplink(dims, noise_var, rng, spec.schedule_kind)
+    cascades, sched, obs = simulate_uplink(dims, noise_var, rng, spec.schedule_kind)
     h_hats = UPLINK_MF.estimate(obs, sched)
-    per_user = [
-        nmse(cascaded_uplink(g_up, h_q, psi=chan.psi).h_e, h_hat)
-        for h_q, h_hat in zip(chan.h_users, h_hats)
-    ]
+    per_user = [nmse(cascade.h_e, h_hat) for cascade, h_hat in zip(cascades, h_hats)]
     return ResultRecord(
         spec.scenario, estimator, snr_db, k, trial, seed,
         float(np.mean(per_user)), None,

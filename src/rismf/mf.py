@@ -35,7 +35,6 @@ __all__ = [
     "gd_gradients",
     "gd_iterate",
     "estimate_single_user",
-    "estimate_multipath",
 ]
 
 _DEFAULT_ITERS = {"am": 200, "gd": 2000}
@@ -381,27 +380,3 @@ def estimate_single_user(
         converged=converged,
         objective_history=state.objective_history,
     )
-
-
-def estimate_multipath(
-    obs: ObservationSet,
-    sched: PilotSchedule,
-    n_paths: int,
-    config: MfConfig | None = None,
-) -> list[EstimateResult]:
-    """Successive single-path estimation with residual cancellation.
-
-    Each round fits one rank-one component to the current residual and then
-    subtracts that component's predicted observations. Returns the per-path
-    estimates; the total channel estimate is the sum of their ``h_e_hat``.
-    """
-    if n_paths < 1:
-        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
-    residual = obs.values.copy()
-    results = []
-    for _ in range(n_paths):
-        partial = ObservationSet(values=residual, noise_var=obs.noise_var)
-        result = estimate_single_user(partial, sched, config)
-        results.append(result)
-        residual = residual - _predict(result.a_bar_hat, result.a_b_hat, sched)
-    return results

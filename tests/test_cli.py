@@ -98,6 +98,19 @@ class TestSweepCommands:
         assert main(["single-user", "--config", str(config)]) == 1
         assert "JSON object" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("overrides", [
+        dict(snr_grid_db="10", k_grid="12"),
+        dict(k_grid=[12.7, True]),
+        dict(k_grid=[0]),
+        dict(n_trials=1.5),
+    ])
+    def test_malformed_spec_exits_1(self, tmp_path, capsys, overrides):
+        config = write_config(tmp_path / "spec.json", **overrides)
+        out = tmp_path / "results.csv"
+        assert main(["single-user", "--config", config, "--out", str(out)]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["single-user", "--config", str(tmp_path / "absent.json")]) == 2
         assert "i/o error:" in capsys.readouterr().err

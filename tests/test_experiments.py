@@ -11,6 +11,7 @@ from rismf import (
     SystemDims,
     array_response,
     cascaded_downlink,
+    cascaded_uplink,
     downlink_observe,
     make_pilot_schedule,
     make_uplink_schedule,
@@ -130,14 +131,21 @@ class TestSimulate:
 
     def test_uplink_draw_order(self):
         dims = SystemDims(n_bs=4, m_ris=6, k_pilots=8, q_users=2, t_symbols=2)
-        chan, g_up, sched, obs = simulate_uplink(dims, 0.3, np.random.default_rng(6), "random")
+        cascades, sched, obs = simulate_uplink(dims, 0.3, np.random.default_rng(6), "random")
         rng = np.random.default_rng(6)
         ref_chan = sample_channel(dims, rng)
         ref_sched = make_uplink_schedule(dims, rng, phase_design="random")
-        np.testing.assert_array_equal(g_up, ref_chan.g_uplink())
+        g_up = ref_chan.g_uplink()
         np.testing.assert_array_equal(sched.phase_matrix, ref_sched.phase_matrix)
         ref_obs = uplink_observe(g_up, ref_chan.h_users, ref_sched, 0.3, rng)
         np.testing.assert_array_equal(obs.values, ref_obs.values)
+        # the truths are built after the draws and consume none
+        assert len(cascades) == dims.q_users
+        for cascade, h_q in zip(cascades, ref_chan.h_users):
+            ref = cascaded_uplink(g_up, h_q, psi=ref_chan.psi)
+            np.testing.assert_array_equal(cascade.h_e, ref.h_e)
+            np.testing.assert_array_equal(cascade.a_bar, ref.a_bar)
+            assert cascade.psi == ref_chan.psi
 
 
 class TestTrialSeed:
@@ -223,6 +231,27 @@ class TestExperimentSpec:
     def test_rejects_bad_trial_count(self):
         with pytest.raises(ValueError):
             tiny_spec(n_trials=0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("snr_grid_db", "10"),
+        ("k_grid", "12"),
+        ("snr_grid_db", 10.0),
+        ("k_grid", (6, 12)),
+        ("snr_grid_db", [float("inf")]),
+        ("snr_grid_db", [0.0, float("nan")]),
+        ("snr_grid_db", ["10"]),
+        ("snr_grid_db", [True]),
+        ("k_grid", [12.7]),
+        ("k_grid", [12, True]),
+        ("k_grid", [0]),
+        ("k_grid", [-6]),
+        ("n_trials", 1.5),
+        ("n_trials", True),
+        ("n_trials", "2"),
+    ])
+    def test_rejects_malformed_field(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            tiny_spec(**{field: value})
 
     def test_rejects_unknown_schedule(self):
         with pytest.raises(ValueError):

@@ -9,13 +9,11 @@ from rismf import (
     cascaded_downlink,
     despread,
     downlink_observe,
-    estimate_multipath,
     estimate_single_user,
     lr_rankone,
     make_pilot_schedule,
     nmse,
     sample_channel,
-    sample_multipath_channel,
     simulate_downlink,
     simulate_uplink,
 )
@@ -117,7 +115,7 @@ def angle_objectives(seed):
     a_bar = rng.standard_normal(32) + 1j * rng.standard_normal(32)
     scaled = ((sched.phases @ a_bar)[:, None] * sched.pilots).T
     uplink_dims = SystemDims(n_bs=16, m_ris=32, k_pilots=64, q_users=3, t_symbols=3)
-    _, _, up_sched, up_obs = simulate_uplink(uplink_dims, obs.noise_var, rng, "dft")
+    _, up_sched, up_obs = simulate_uplink(uplink_dims, obs.noise_var, rng, "dft")
     z = np.hstack([despread(up_obs, up_sched, q) for q in range(3)])
     return {
         "spectral": (s.conj().T @ s, None),
@@ -372,51 +370,6 @@ class TestEstimateSingleUser:
             estimate_single_user(
                 ObservationSet(values=values, noise_var=0.1), sched, MfConfig(solver=solver)
             )
-
-
-class TestEstimateMultipath:
-    def test_single_path_reduces_to_single_user(self):
-        chan, sched, cas, obs = make_case(191)
-        multi = estimate_multipath(obs, sched, 1)
-        single = estimate_single_user(obs, sched)
-        assert len(multi) == 1
-        np.testing.assert_array_equal(multi[0].h_e_hat, single.h_e_hat)
-
-    def test_two_path_recovery_quality(self):
-        # successive cancellation leaves the weaker path biased by the
-        # stronger one's sidelobes; exact recovery is not expected
-        totals = []
-        for seed in range(9):
-            rng = np.random.default_rng(5000 + seed)
-            dims = SystemDims(n_bs=16, m_ris=32, k_pilots=128)
-            chan = sample_multipath_channel(dims, 2, rng, min_gap=4.0 / 16)
-            sched = make_pilot_schedule(dims, rng)
-            cas = cascaded_downlink(chan.h_r, chan.g_matrix)
-            obs = downlink_observe(cas, sched, 0.0)
-            results = estimate_multipath(obs, sched, 2)
-            totals.append(nmse(cas.h_e, sum(r.h_e_hat for r in results)))
-        assert np.median(totals) <= 0.2
-
-    def test_dominant_path_estimated_first(self):
-        hits = 0
-        for seed in range(10):
-            rng = np.random.default_rng(6000 + seed)
-            dims = SystemDims(n_bs=16, m_ris=32, k_pilots=128)
-            chan = sample_multipath_channel(dims, 2, rng, min_gap=4.0 / 16)
-            (b0, phi0, psi0), (b1, phi1, psi1) = chan.paths
-            g = 10.0 * b0 / abs(b0) * np.outer(array_response(32, phi0), array_response(16, psi0).conj()) \
-                + b1 / abs(b1) * np.outer(array_response(32, phi1), array_response(16, psi1).conj())
-            sched = make_pilot_schedule(dims, rng)
-            cas = cascaded_downlink(chan.h_r, g)
-            obs = downlink_observe(cas, sched, 0.0)
-            first = estimate_multipath(obs, sched, 2)[0].psi_hat
-            hits += circular_distance(first, psi0) < circular_distance(first, psi1)
-        assert hits == 10
-
-    def test_rejects_nonpositive_path_count(self):
-        _, sched, _, obs = make_case(192)
-        with pytest.raises(ValueError):
-            estimate_multipath(obs, sched, 0)
 
 
 class TestMfConfig:
