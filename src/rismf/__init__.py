@@ -44,6 +44,7 @@ from .mf import (
     gd_iterate,
     init_psi,
     ls_a_bar,
+    manifold_coefficients,
     maximize_over_manifold,
     objective,
     spectral_matrix,

@@ -205,6 +205,13 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario {self.scenario!r}")
+        if not isinstance(self.dims, SystemDims):
+            raise ValueError(
+                f"dims must be a SystemDims or a mapping of its fields, got {self.dims!r}"
+            )
+        seed = self.master_seed
+        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+            raise ValueError(f"master_seed must be an integer, got {seed!r}")
         if not _is_count(self.n_trials):
             raise ValueError(f"n_trials must be a positive integer, got {self.n_trials!r}")
         for name in ("snr_grid_db", "k_grid"):

@@ -28,6 +28,7 @@ __all__ = [
     "EstimateResult",
     "objective",
     "spectral_matrix",
+    "manifold_coefficients",
     "maximize_over_manifold",
     "init_psi",
     "ls_a_bar",
@@ -174,38 +175,60 @@ def spectral_matrix(obs: ObservationSet, sched: PilotSchedule) -> np.ndarray:
     return (np.sqrt(n_bs) / k) * (sched.phases.conj().T @ weighted)
 
 
-def maximize_over_manifold(gram: np.ndarray, linear: np.ndarray | None = None) -> float:
-    """Global maximizer over [0, 1) of ``Re(a_b^H G a_b) + 2 Re(a_b^H w)``, ``a_b = a_b(psi)``.
+def manifold_coefficients(gram: np.ndarray, linear: np.ndarray | None = None) -> np.ndarray:
+    """Coefficients of the score ``Re(a_b^H G a_b) + 2 Re(a_b^H w)``, ``a_b = a_b(psi)``.
 
-    The score is a trigonometric polynomial of degree n_bs - 1 in psi whose
-    coefficients are the diagonal sums of ``gram`` plus ``linear``. One FFT
-    evaluates it on an 8 n_bs grid; every local maximum of that grid is then
-    polished by Newton steps on the closed-form derivatives, each clipped to
-    one grid spacing and kept only if it raises the score, and the best
-    polished point wins (the root-MUSIC / Newtonized-OMP idea: Barabell,
-    ICASSP 1983; Mamandipoor, Ramasamy and Madhow, IEEE TSP 2016).
+    The score equals ``Re sum_d c[d] exp(2j pi psi d)`` for d = 0 .. n_bs - 1,
+    a trigonometric polynomial whose coefficients are the diagonal sums of
+    ``gram`` plus ``linear``; this returns ``c``, the input of
+    :func:`maximize_over_manifold`.
     """
     n = gram.shape[0]
     lag = np.subtract.outer(np.arange(n), np.arange(n)).ravel()
     diag = np.zeros(2 * n - 1, dtype=complex)
     np.add.at(diag, lag, gram.ravel())  # diag[d] sums G_il over i - l = d
-    # score(psi) = Re sum_d coef[d] exp(2j pi psi d) for d = 0 .. n-1
     coef = (diag[:n] + diag[-np.arange(n)].conj()) / n
     coef[0] /= 2.0  # the main diagonal was counted from both sides
     if linear is not None:
         coef += 2.0 * np.asarray(linear) / np.sqrt(n)
+    return coef
 
+
+def maximize_over_manifold(coef: np.ndarray) -> float:
+    """Global maximizer over [0, 1) of ``score(psi) = Re sum_d coef[d] exp(2j pi psi d)``.
+
+    ``coef`` has one entry per lag d = 0 .. n_bs - 1 (see
+    :func:`manifold_coefficients`). One FFT evaluates the score on a grid of
+    8 n_bs points with spacing ``s = 1/(8 n_bs)``. Grid peaks are then
+    polished by Newton steps on the closed-form derivatives, each clipped to
+    one grid spacing and kept only if it raises the score, and the best
+    polished point wins (the root-MUSIC / Newtonized-OMP idea: Barabell,
+    ICASSP 1983; Mamandipoor, Ramasamy and Madhow, IEEE TSP 2016).
+
+    Only the peaks that could still beat the grid maximum are polished:
+    those with ``grid >= max(grid) - s^2 C / 2``, where
+    ``C = sum_d (2 pi d)^2 |coef[d]|`` bounds ``|score''|`` everywhere. A
+    grid peak is at least as high as both grid neighbours, so the score's
+    maximum between them lies within one spacing of the peak, where the
+    slope is zero; by Taylor's bound that maximum exceeds the peak's grid
+    value by at most ``s^2 C / 2``. A peak below the line therefore cannot
+    polish above the grid maximum. The grid argmax is always kept.
+    """
+    n = coef.shape[0]
     n_grid = 8 * n
     spacing = 1.0 / n_grid
     grid = n_grid * np.fft.ifft(coef, n_grid).real
-    peaks = (grid > np.roll(grid, 1)) & (grid >= np.roll(grid, -1))
-    psi = np.union1d(np.flatnonzero(peaks), [np.argmax(grid)]) * spacing
-
+    top = np.argmax(grid)
     slope = 2j * np.pi * np.arange(n)
+    slope2 = slope**2
+    curvature = np.abs(slope2) @ np.abs(coef)  # the bound C on |score''|
+    near = np.flatnonzero(grid >= grid[top] - 0.5 * spacing**2 * curvature)
+    peak = (grid[near] > grid[near - 1]) & (grid[near] >= grid[(near + 1) % n_grid])
+    psi = near[peak | (near == top)] * spacing
 
     def derivatives(angles):
         terms = np.exp(np.outer(angles, slope)) * coef
-        return terms.sum(axis=1).real, (terms @ slope).real, (terms @ slope**2).real
+        return terms.sum(axis=1).real, (terms @ slope).real, (terms @ slope2).real
 
     value, first, second = derivatives(psi)
     reach = np.full(psi.shape, spacing)
@@ -235,7 +258,7 @@ def init_psi(s_matrix: np.ndarray) -> float:
     """Spectral angle estimate ``argmax_psi || S a_b(psi) ||^2``."""
     if not np.any(s_matrix):
         raise ValueError("spectral matrix is identically zero; nothing to initialize from")
-    return maximize_over_manifold(s_matrix.conj().T @ s_matrix)
+    return maximize_over_manifold(manifold_coefficients(s_matrix.conj().T @ s_matrix))
 
 
 def ls_a_bar(psi: float, obs: ObservationSet, sched: PilotSchedule) -> np.ndarray:
@@ -248,17 +271,36 @@ def ls_a_bar(psi: float, obs: ObservationSet, sched: PilotSchedule) -> np.ndarra
     return _scaled_lstsq(gains, sched.phases, obs.values)
 
 
+def _angle_coefficients(
+    a_bar: np.ndarray, obs: ObservationSet, sched: PilotSchedule
+) -> np.ndarray:
+    """:func:`manifold_coefficients` of ``(-Y Y^H, Y conj(r))``, column k of Y
+    equal to ``g_k x_k``, ``g_k = theta_k^T a_bar``, without forming ``Y Y^H``:
+    its lag-d diagonal sum is ``sum_k |g_k|^2 rho[k, d]``, ``rho`` being the
+    schedule's :attr:`~rismf.signals.PilotSchedule.autocorrelation`."""
+    n_bs = sched.pilots.shape[1]
+    gains = sched.phases @ a_bar
+    coef = (-2.0 / n_bs) * (np.abs(gains) ** 2 @ sched.autocorrelation)
+    coef[0] /= 2.0  # the main diagonal pairs with itself
+    coef += (2.0 / np.sqrt(n_bs)) * (sched.pilots.T @ (gains * obs.values.conj()))
+    return coef
+
+
 def am_iterate(state: MfState, obs: ObservationSet, sched: PilotSchedule) -> MfState:
     """One alternating-minimization sweep.
 
     First the angle update: the global minimizer of
     ``sum_k |theta_k^T a_bar x_k^T conj(a_b(psi)) - r_k|^2`` at the current
-    ``a_bar``, i.e. :func:`maximize_over_manifold` of ``(-Y Y^H, Y conj(r))``
-    with column k of Y equal to ``(theta_k^T a_bar) x_k``. The candidate is
-    accepted only if the directly evaluated objective does not increase, which
-    guards against rounding in the polynomial form. Then the exact LS update
-    of ``a_bar`` at the accepted angle, which can only decrease the objective
-    further, so the sweep is monotone by construction.
+    ``a_bar``, i.e. :func:`maximize_over_manifold` of the score
+    ``Re(a_b^H G a_b) + 2 Re(a_b^H w)`` with ``G = -Y Y^H``, ``w = Y conj(r)``
+    and column k of Y equal to ``(theta_k^T a_bar) x_k``. The score's
+    coefficients come from the schedule's pilot autocorrelation
+    (:func:`_angle_coefficients`), so the angle step costs O(k n_bs) per
+    sweep plus one 8 n_bs-point FFT. The candidate is accepted only if the
+    directly evaluated objective does not increase, which guards against
+    rounding in the polynomial form. Then the exact LS update of ``a_bar`` at
+    the accepted angle, which can only decrease the objective further, so
+    the sweep is monotone by construction.
     """
     previous = (
         state.objective_history[-1]
@@ -266,11 +308,7 @@ def am_iterate(state: MfState, obs: ObservationSet, sched: PilotSchedule) -> MfS
         else objective(state.a_bar, state.psi, obs, sched)
     )
 
-    gains = sched.phases @ state.a_bar  # theta_k^T a_bar
-    scaled_pilots = (gains[:, None] * sched.pilots).T  # Y, column k = g_k x_k
-    candidate = maximize_over_manifold(
-        -(scaled_pilots @ scaled_pilots.conj().T), scaled_pilots @ obs.values.conj()
-    )
+    candidate = maximize_over_manifold(_angle_coefficients(state.a_bar, obs, sched))
     psi = candidate if objective(state.a_bar, candidate, obs, sched) <= previous else state.psi
     a_bar = ls_a_bar(psi, obs, sched)
     history = state.objective_history + [objective(a_bar, psi, obs, sched)]

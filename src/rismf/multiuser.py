@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import array_response
-from .mf import _COND_LIMIT, maximize_over_manifold
+from .mf import _COND_LIMIT, manifold_coefficients, maximize_over_manifold
 from .signals import ObservationSet, UplinkSchedule, despread
 
 __all__ = [
@@ -49,7 +49,7 @@ def estimate_psi_uplink(s_list) -> float:
     stacked = np.hstack([np.asarray(s) for s in s_list])
     if not np.any(stacked):
         raise ValueError("despread data is identically zero; no angle to estimate")
-    return maximize_over_manifold(stacked @ stacked.conj().T)
+    return maximize_over_manifold(manifold_coefficients(stacked @ stacked.conj().T))
 
 
 def _phase_gram(phase_matrix: np.ndarray) -> np.ndarray:

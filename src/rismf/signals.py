@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -32,7 +33,8 @@ class PilotSchedule:
     """Downlink training schedule: one BS pilot and one RIS phase vector per slot.
 
     ``pilots`` has shape (k, n_bs) with unit-norm rows; ``phases`` has shape
-    (k, m_ris) with unit-modulus entries.
+    (k, m_ris) with unit-modulus entries. A schedule is not modified after
+    construction, which lets it cache quantities derived from its arrays.
     """
 
     pilots: np.ndarray
@@ -55,6 +57,20 @@ class PilotSchedule:
     @property
     def k_pilots(self) -> int:
         return self.pilots.shape[0]
+
+    @functools.cached_property
+    def autocorrelation(self) -> np.ndarray:
+        """Per-slot pilot autocorrelation ``rho[k, d] = sum_l x_{k,l+d} conj(x_{k,l})``.
+
+        Shape (k, n_bs), lags d = 0 .. n_bs - 1. One FFT zero-padded to
+        length 2 n_bs gives the linear (not circular) correlation. Computed
+        on first use and kept, read-only, for the schedule's lifetime.
+        """
+        n_bs = self.pilots.shape[1]
+        power = np.abs(np.fft.fft(self.pilots, 2 * n_bs, axis=1)) ** 2
+        rho = np.fft.ifft(power, axis=1)[:, :n_bs].copy()
+        rho.flags.writeable = False
+        return rho
 
 
 @dataclass

@@ -103,6 +103,10 @@ class TestSweepCommands:
         dict(k_grid=[12.7, True]),
         dict(k_grid=[0]),
         dict(n_trials=1.5),
+        dict(dims=[4, 6]),
+        dict(master_seed=1.7),
+        dict(master_seed="7"),
+        dict(master_seed=True),
     ])
     def test_malformed_spec_exits_1(self, tmp_path, capsys, overrides):
         config = write_config(tmp_path / "spec.json", **overrides)

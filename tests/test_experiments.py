@@ -248,10 +248,19 @@ class TestExperimentSpec:
         ("n_trials", 1.5),
         ("n_trials", True),
         ("n_trials", "2"),
+        ("master_seed", 1.7),
+        ("master_seed", "7"),
+        ("master_seed", True),
+        ("dims", [4, 6]),
     ])
     def test_rejects_malformed_field(self, field, value):
         with pytest.raises(ValueError, match=field):
             tiny_spec(**{field: value})
+
+    def test_integer_seed_types_agree(self):
+        # a numpy integer seed is stored as the same Python int
+        spec = tiny_spec(master_seed=np.int64(99))
+        assert spec == tiny_spec() and type(spec.master_seed) is int
 
     def test_rejects_unknown_schedule(self):
         with pytest.raises(ValueError):

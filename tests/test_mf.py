@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rismf import (
     MfConfig,
@@ -20,12 +22,14 @@ from rismf import (
 from rismf.channel import steering_matrix
 from rismf.mf import (
     MfState,
+    _angle_coefficients,
     _scaled_lstsq,
     am_iterate,
     gd_gradients,
     gd_iterate,
     init_psi,
     ls_a_bar,
+    manifold_coefficients,
     maximize_over_manifold,
     objective,
     spectral_matrix,
@@ -129,7 +133,7 @@ class TestManifoldSearch:
         _, sched, _, obs = make_case(121)
         s = spectral_matrix(obs, sched)
         gram = s.conj().T @ s
-        found = maximize_over_manifold(gram)
+        found = maximize_over_manifold(manifold_coefficients(gram))
         fine = np.linspace(0.0, 1.0, 50_000, endpoint=False)
         best = fine[np.argmax(manifold_score(gram, None, fine))]
         assert circular_distance(found, best) <= 2e-5
@@ -137,12 +141,12 @@ class TestManifoldSearch:
     def test_peak_near_wraparound(self):
         target = 0.9995
         a_star = array_response(16, target)
-        found = maximize_over_manifold(np.outer(a_star, a_star.conj()))
+        found = maximize_over_manifold(manifold_coefficients(np.outer(a_star, a_star.conj())))
         assert circular_distance(found, target) <= 1e-9
         assert 0.0 <= found < 1.0
 
     def test_constant_score_returns_valid_angle(self):
-        found = maximize_over_manifold(np.zeros((16, 16), dtype=complex))
+        found = maximize_over_manifold(manifold_coefficients(np.zeros((16, 16), dtype=complex)))
         assert 0.0 <= found < 1.0
 
     # On cells 961 and 1075 the best point of the 8N grid sits on the wrong
@@ -152,8 +156,78 @@ class TestManifoldSearch:
         fine = np.arange(20_000) / 20_000
         for name, (gram, linear) in angle_objectives(seed).items():
             grid_best = manifold_score(gram, linear, fine).max()
-            found = manifold_score(gram, linear, [maximize_over_manifold(gram, linear)])[0]
+            found = manifold_score(
+                gram, linear, [maximize_over_manifold(manifold_coefficients(gram, linear))]
+            )[0]
             assert found >= grid_best - 1e-12 * abs(grid_best), name
+
+
+def polynomial_score(coef, angles):
+    """Direct evaluation of ``Re sum_d coef[d] exp(2j pi psi d)`` on an angle grid."""
+    lags = np.arange(len(coef))
+    return (np.exp(2j * np.pi * np.outer(angles, lags)) @ coef).real
+
+
+@st.composite
+def score_coefficients(draw):
+    """Random coefficient vectors, N from 2 to 64; half have twin lobes equal up to 1e-9.
+
+    Real coefficients give a score symmetric about 0, so every lobe has an
+    equal twin; a shift moves the pair off the grid, and a 1e-9 perturbation
+    makes one of the two slightly higher.
+    """
+    n = draw(st.integers(min_value=2, max_value=64))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    decay = (1.0 + np.arange(n)) ** -draw(st.floats(min_value=0.0, max_value=2.0))
+    if draw(st.booleans()):
+        shift = np.exp(-2j * np.pi * np.arange(n) * rng.uniform())
+        coef = rng.standard_normal(n) * decay * shift
+        noise = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        coef = coef + 1e-9 * np.abs(coef).sum() * noise
+    else:
+        coef = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * decay
+    return coef * 10.0 ** draw(st.floats(min_value=-6.0, max_value=6.0))
+
+
+class TestPrunedPolish:
+    """Only the grid peaks within the curvature bound of the grid maximum are polished."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(coef=score_coefficients())
+    @example(coef=np.array([0.0, 1.0, 0.0, 1.0 + 1e-9]))  # exactly equal twins
+    def test_score_never_below_a_dense_grid(self, coef):
+        fine = np.arange(256 * len(coef)) / (256 * len(coef))
+        found = polynomial_score(coef, [maximize_over_manifold(coef)])[0]
+        assert found >= polynomial_score(coef, fine).max() - 1e-12 * np.abs(coef).sum()
+
+
+class TestAngleCoefficients:
+    """The AM angle step builds its score from the pilot autocorrelation."""
+
+    @pytest.mark.parametrize("kind", ["random", "dft"])
+    @pytest.mark.parametrize("n_bs", [1, 2, 4, 32])
+    @pytest.mark.parametrize("k", [8, 40])
+    def test_match_the_gram_diagonal_sums(self, kind, n_bs, k):
+        rng = np.random.default_rng(191)
+        sched = make_pilot_schedule(SystemDims(n_bs=n_bs, m_ris=8, k_pilots=k), rng, kind)
+        a_bar = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+        values = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+        scaled = ((sched.phases @ a_bar)[:, None] * sched.pilots).T
+        reference = manifold_coefficients(-(scaled @ scaled.conj().T), scaled @ values.conj())
+        coef = _angle_coefficients(a_bar, ObservationSet(values=values, noise_var=0.1), sched)
+        assert np.linalg.norm(coef - reference) <= 1e-12 * np.linalg.norm(reference)
+
+    def test_autocorrelation_computed_once_per_schedule(self, monkeypatch):
+        prop = PilotSchedule.__dict__["autocorrelation"]
+        calls = []
+        original = prop.func
+        monkeypatch.setattr(prop, "func", lambda sched: calls.append(1) or original(sched))
+        _, sched, _, obs = make_case(192, noise_var=0.1)
+        first = estimate_single_user(obs, sched)
+        second = estimate_single_user(obs, sched)
+        assert first.iters_used >= 2
+        np.testing.assert_array_equal(first.h_e_hat, second.h_e_hat)
+        assert len(calls) == 1
 
 
 class TestInitPsi:

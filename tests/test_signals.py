@@ -113,6 +113,16 @@ class TestScheduleTypes:
         with pytest.raises(ValueError):
             make_pilot_schedule(dims, np.random.default_rng(9), phase_design="walsh")
 
+    @pytest.mark.parametrize("n_bs", [1, 2, 5, 32])
+    def test_autocorrelation_matches_lag_sums(self, n_bs):
+        sched = make_pilot_schedule(SystemDims(n_bs=n_bs, m_ris=3, k_pilots=7),
+                                    np.random.default_rng(10))
+        x = sched.pilots
+        brute = np.array([[np.sum(x[k, d:] * x[k, :n_bs - d].conj()) for d in range(n_bs)]
+                          for k in range(7)])
+        assert sched.autocorrelation.shape == (7, n_bs)
+        np.testing.assert_allclose(sched.autocorrelation, brute, rtol=0, atol=1e-14)
+
 
 class TestDownlinkObserve:
     def _setup(self, noise_var=0.0, k=12, seed=10):
