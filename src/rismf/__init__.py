@@ -37,7 +37,6 @@ from .signals import (
 from .mf import (
     EstimateResult,
     MfConfig,
-    MfState,
     am_iterate,
     estimate_single_user,
     gd_gradients,

@@ -41,7 +41,7 @@ from .signals import (
     random_phase_schedule,
 )
 
-__all__ = ["CriterionResult", "CRITERIA", "run_criterion", "run_all"]
+__all__ = ["CriterionResult", "CRITERIA", "run_criterion"]
 
 _MASTER = 20260816
 
@@ -394,14 +394,3 @@ def run_criterion(name: str) -> CriterionResult:
             passed, detail = fn()
             return CriterionResult(name, passed, detail, time.perf_counter() - start)
     raise KeyError(f"unknown criterion {name!r}")
-
-
-def run_all(report=print) -> list[CriterionResult]:
-    results = []
-    for name, _ in CRITERIA:
-        result = run_criterion(name)
-        results.append(result)
-        if report is not None:
-            status = "PASS" if result.passed else "FAIL"
-            report(f"{status} {result.name} ({result.elapsed_s:.1f}s): {result.detail}")
-    return results

@@ -18,12 +18,19 @@ def ls_full(obs: ObservationSet, sched: PilotSchedule) -> np.ndarray:
     """Unstructured LS over the vectorized channel, shape (m_ris, n_bs).
 
     Solves ``r_k = (x_k^T kron theta_k^T) vec(h_e)`` over all slots; needs
-    k >= m_ris * n_bs. The square case is solved directly; the tall case via
-    the normal equations (Cholesky), cheap at these sizes and accurate enough
-    for the noisy regime the baseline is used in. BLAS ``zherk`` forms one
-    triangle of the Gram from the design's Fortran-ordered transpose, so the
-    design is never copied; that triangle is the conjugate Gram, which is
-    factored as is and solved against the conjugate right-hand side.
+    k >= m_ris * n_bs. Square and tall budgets alike go through the normal
+    equations (Cholesky), cheap at these sizes and accurate enough for the
+    noisy regime the baseline is used in. BLAS ``zherk`` forms one triangle
+    of the Gram from the design's Fortran-ordered transpose, so the design is
+    never copied; that triangle is the conjugate Gram, which is factored in
+    place and solved against the conjugate right-hand side.
+
+    Unlike the small solves of :func:`~rismf.mf._cholesky`, the factor gets
+    no ``pocon`` condition check. That check needs the Gram's 1-norm, but
+    ``zherk`` fills only one triangle, and the norm of the full (m n)^2
+    Gram takes a real temporary of its size: about 20 MB per concurrent
+    cell at N = 32, M = 50, on top of the Gram itself. A failed
+    factorization still counts as rank deficient.
     """
     k, n_bs = sched.pilots.shape
     m_ris = sched.phases.shape[1]
@@ -33,19 +40,16 @@ def ls_full(obs: ObservationSet, sched: PilotSchedule) -> np.ndarray:
 
     # row k = x_k kron theta_k, matching column-stacked vec(h_e)
     design = np.einsum("kn,km->knm", sched.pilots, sched.phases).reshape(k, unknowns)
+    # lower triangle of design^T conj(design) = conj(design^H design)
+    conj_gram = scipy.linalg.blas.zherk(1.0, design.T, lower=1)
     try:
-        if k == unknowns:
-            vec = np.linalg.solve(design, obs.values)
-        else:
-            # lower triangle of design^T conj(design) = conj(design^H design)
-            conj_gram = scipy.linalg.blas.zherk(1.0, design.T, lower=1)
-            factor = scipy.linalg.cho_factor(
-                conj_gram, lower=True, overwrite_a=True, check_finite=False
-            )
-            conj_rhs = obs.values.conj() @ design
-            vec = scipy.linalg.cho_solve(factor, conj_rhs, check_finite=False).conj()
-    except np.linalg.LinAlgError as err:  # singular, or a Gram not positive definite
+        factor = scipy.linalg.cho_factor(
+            conj_gram, lower=True, overwrite_a=True, check_finite=False
+        )
+    except np.linalg.LinAlgError as err:  # the Gram is not positive definite
         raise ValueError(f"full LS design is rank deficient: {err}") from err
+    conj_rhs = obs.values.conj() @ design
+    vec = scipy.linalg.cho_solve(factor, conj_rhs, check_finite=False).conj()
     return vec.reshape(n_bs, m_ris).T
 
 

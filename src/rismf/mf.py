@@ -14,7 +14,7 @@ initialization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -24,7 +24,6 @@ from .signals import ObservationSet, PilotSchedule
 
 __all__ = [
     "MfConfig",
-    "MfState",
     "EstimateResult",
     "objective",
     "spectral_matrix",
@@ -65,15 +64,6 @@ class MfConfig:
         if self.max_iters is not None:
             return self.max_iters
         return _DEFAULT_ITERS[self.solver]
-
-
-@dataclass
-class MfState:
-    """Iterate of either solver: current factors plus the objective trajectory."""
-
-    a_bar: np.ndarray
-    psi: float
-    objective_history: list[float] = field(default_factory=list)
 
 
 @dataclass
@@ -129,25 +119,14 @@ def _stalled(history: list[float], floor: float) -> bool:
     return curr <= floor or (prev - curr) <= _TOL_OBJECTIVE * prev
 
 
-def _scaled_lstsq(gains: np.ndarray, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """LS solution of ``(gains[:, None] * rows) x = values``.
+def _cholesky(gram: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Cholesky factor of a small Hermitian Gram, checked for full rank.
 
-    This is a Cholesky solve of the weighted normal equations
-    ``rows^H diag(|gains|^2) rows x = rows^H (conj(gains) * values)``
-    (Golub and Van Loan, *Matrix Computations*, sec. 5.3). The design must be
-    tall, and LAPACK's ``pocon`` estimate of the Gram's condition number must
-    stay below ``_COND_LIMIT``; otherwise the design counts as rank
-    deficient. The normal equations square the design's condition number,
-    which is acceptable at these sizes: over 200 random N = 32, K = M = 50
-    cells, at the true and at a random angle, the Gram's condition number
-    was at most 4.1e8, which leaves about 8 digits; at K = 400 it stays
-    below 10.
+    The Gram counts as rank deficient (``ValueError``) when the
+    factorization fails or LAPACK's ``pocon`` estimate of its condition
+    number exceeds ``_COND_LIMIT``. Returns the factor in the form
+    ``scipy.linalg.cho_solve`` takes.
     """
-    k, n = rows.shape
-    if k < n:
-        raise ValueError(f"LS step needs k >= unknowns, got k={k}, unknowns={n}")
-    rows_h = rows.conj().T
-    gram = (rows_h * np.abs(gains) ** 2) @ rows
     try:
         factor = scipy.linalg.cho_factor(gram, check_finite=False)
     except np.linalg.LinAlgError as err:
@@ -155,6 +134,25 @@ def _scaled_lstsq(gains: np.ndarray, rows: np.ndarray, values: np.ndarray) -> np
     rcond, _ = _POCON(factor[0], np.abs(gram).sum(axis=0).max())
     if rcond * _COND_LIMIT < 1.0:
         raise ValueError(f"LS design is rank deficient (reciprocal condition {rcond:.1e})")
+    return factor
+
+
+def _scaled_lstsq(gains: np.ndarray, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """LS solution of ``(gains[:, None] * rows) x = values``.
+
+    This is a Cholesky solve (:func:`_cholesky`) of the weighted normal
+    equations ``rows^H diag(|gains|^2) rows x = rows^H (conj(gains) * values)``
+    (Golub and Van Loan, *Matrix Computations*, sec. 5.3). The design must be
+    tall. The normal equations square the design's condition number, which
+    is acceptable at these sizes: over 200 random N = 32, K = M = 50 cells,
+    at the true and at a random angle, the Gram's condition number was at
+    most 4.1e8, which leaves about 8 digits; at K = 400 it stays below 10.
+    """
+    k, n = rows.shape
+    if k < n:
+        raise ValueError(f"LS step needs k >= unknowns, got k={k}, unknowns={n}")
+    rows_h = rows.conj().T
+    factor = _cholesky((rows_h * np.abs(gains) ** 2) @ rows)
     return scipy.linalg.cho_solve(factor, rows_h @ (gains.conj() * values), check_finite=False)
 
 
@@ -175,13 +173,13 @@ def spectral_matrix(obs: ObservationSet, sched: PilotSchedule) -> np.ndarray:
     return (np.sqrt(n_bs) / k) * (sched.phases.conj().T @ weighted)
 
 
-def manifold_coefficients(gram: np.ndarray, linear: np.ndarray | None = None) -> np.ndarray:
-    """Coefficients of the score ``Re(a_b^H G a_b) + 2 Re(a_b^H w)``, ``a_b = a_b(psi)``.
+def manifold_coefficients(gram: np.ndarray) -> np.ndarray:
+    """Coefficients of the score ``Re(a_b^H G a_b)``, ``a_b = a_b(psi)``.
 
     The score equals ``Re sum_d c[d] exp(2j pi psi d)`` for d = 0 .. n_bs - 1,
     a trigonometric polynomial whose coefficients are the diagonal sums of
-    ``gram`` plus ``linear``; this returns ``c``, the input of
-    :func:`maximize_over_manifold`.
+    ``gram``; this returns ``c``, the input of :func:`maximize_over_manifold`.
+    A linear term ``2 Re(a_b^H w)`` adds ``2 w / sqrt(n_bs)`` to ``c``.
     """
     n = gram.shape[0]
     lag = np.subtract.outer(np.arange(n), np.arange(n)).ravel()
@@ -189,8 +187,6 @@ def manifold_coefficients(gram: np.ndarray, linear: np.ndarray | None = None) ->
     np.add.at(diag, lag, gram.ravel())  # diag[d] sums G_il over i - l = d
     coef = (diag[:n] + diag[-np.arange(n)].conj()) / n
     coef[0] /= 2.0  # the main diagonal was counted from both sides
-    if linear is not None:
-        coef += 2.0 * np.asarray(linear) / np.sqrt(n)
     return coef
 
 
@@ -274,10 +270,11 @@ def ls_a_bar(psi: float, obs: ObservationSet, sched: PilotSchedule) -> np.ndarra
 def _angle_coefficients(
     a_bar: np.ndarray, obs: ObservationSet, sched: PilotSchedule
 ) -> np.ndarray:
-    """:func:`manifold_coefficients` of ``(-Y Y^H, Y conj(r))``, column k of Y
-    equal to ``g_k x_k``, ``g_k = theta_k^T a_bar``, without forming ``Y Y^H``:
-    its lag-d diagonal sum is ``sum_k |g_k|^2 rho[k, d]``, ``rho`` being the
-    schedule's :attr:`~rismf.signals.PilotSchedule.autocorrelation`."""
+    """Coefficients of the score ``Re(a_b^H G a_b) + 2 Re(a_b^H w)`` with
+    ``G = -Y Y^H`` and ``w = Y conj(r)``, column k of Y equal to ``g_k x_k``,
+    ``g_k = theta_k^T a_bar``, without forming ``Y Y^H``: its lag-d diagonal
+    sum is ``sum_k |g_k|^2 rho[k, d]``, ``rho`` being the schedule's
+    :attr:`~rismf.signals.PilotSchedule.autocorrelation`."""
     n_bs = sched.pilots.shape[1]
     gains = sched.phases @ a_bar
     coef = (-2.0 / n_bs) * (np.abs(gains) ** 2 @ sched.autocorrelation)
@@ -286,8 +283,11 @@ def _angle_coefficients(
     return coef
 
 
-def am_iterate(state: MfState, obs: ObservationSet, sched: PilotSchedule) -> MfState:
-    """One alternating-minimization sweep.
+def am_iterate(
+    a_bar: np.ndarray, psi: float, value: float, obs: ObservationSet, sched: PilotSchedule
+) -> tuple[np.ndarray, float, float]:
+    """One alternating-minimization sweep from ``(a_bar, psi)``, whose
+    objective is ``value``; returns the new ``(a_bar, psi, value)``.
 
     First the angle update: the global minimizer of
     ``sum_k |theta_k^T a_bar x_k^T conj(a_b(psi)) - r_k|^2`` at the current
@@ -302,17 +302,11 @@ def am_iterate(state: MfState, obs: ObservationSet, sched: PilotSchedule) -> MfS
     the accepted angle, which can only decrease the objective further, so
     the sweep is monotone by construction.
     """
-    previous = (
-        state.objective_history[-1]
-        if state.objective_history
-        else objective(state.a_bar, state.psi, obs, sched)
-    )
-
-    candidate = maximize_over_manifold(_angle_coefficients(state.a_bar, obs, sched))
-    psi = candidate if objective(state.a_bar, candidate, obs, sched) <= previous else state.psi
+    candidate = maximize_over_manifold(_angle_coefficients(a_bar, obs, sched))
+    if objective(a_bar, candidate, obs, sched) <= value:
+        psi = candidate
     a_bar = ls_a_bar(psi, obs, sched)
-    history = state.objective_history + [objective(a_bar, psi, obs, sched)]
-    return MfState(a_bar=a_bar, psi=psi, objective_history=history)
+    return a_bar, psi, objective(a_bar, psi, obs, sched)
 
 
 def gd_gradients(
@@ -348,41 +342,30 @@ def gd_gradients(
     return grad_a.real, grad_a.imag, grad_psi
 
 
-def gd_iterate(state: MfState, obs: ObservationSet, sched: PilotSchedule) -> MfState:
-    """One gradient step on (Re a_bar, Im a_bar, psi) with a shared step size.
+def gd_iterate(
+    a_bar: np.ndarray, psi: float, value: float, obs: ObservationSet, sched: PilotSchedule
+) -> tuple[np.ndarray, float, float]:
+    """One gradient step on (Re a_bar, Im a_bar, psi) with a shared step size,
+    from ``(a_bar, psi)``, whose objective is ``value``; returns the new
+    ``(a_bar, psi, value)``.
 
     The step starts at ``_GD_STEP`` and is halved (up to ``_MAX_BACKTRACKS``
     times) until the objective does not increase; if that fails the iterate
     is left unchanged, so the trajectory stays monotone. The angle is wrapped
     back to [0, 1).
     """
-    previous = (
-        state.objective_history[-1]
-        if state.objective_history
-        else objective(state.a_bar, state.psi, obs, sched)
-    )
-    grad_re, grad_im, grad_psi = gd_gradients(state.a_bar, state.psi, obs, sched)
+    grad_re, grad_im, grad_psi = gd_gradients(a_bar, psi, obs, sched)
     grad_a = grad_re + 1j * grad_im
 
     step = _GD_STEP
-    a_bar, psi, value = state.a_bar, state.psi, previous
     for _ in range(_MAX_BACKTRACKS + 1):
-        cand_a = state.a_bar - step * grad_a
-        cand_psi = (state.psi - step * grad_psi) % 1.0
+        cand_a = a_bar - step * grad_a
+        cand_psi = (psi - step * grad_psi) % 1.0
         cand_val = objective(cand_a, cand_psi, obs, sched)
-        if cand_val <= previous:
-            a_bar, psi, value = cand_a, cand_psi, cand_val
-            break
+        if cand_val <= value:
+            return cand_a, cand_psi, cand_val
         step *= 0.5
-
-    history = state.objective_history + [value]
-    return MfState(a_bar=a_bar, psi=psi, objective_history=history)
-
-
-def _initial_state(obs: ObservationSet, sched: PilotSchedule) -> MfState:
-    psi0 = init_psi(spectral_matrix(obs, sched))
-    a0 = ls_a_bar(psi0, obs, sched)
-    return MfState(a_bar=a0, psi=psi0, objective_history=[objective(a0, psi0, obs, sched)])
+    return a_bar, psi, value
 
 
 def estimate_single_user(
@@ -402,19 +385,22 @@ def estimate_single_user(
         raise ValueError(f"unknown solver {config.solver!r}")
     iterate = am_iterate if config.solver == "am" else gd_iterate
 
-    state = _initial_state(obs, sched)
+    psi = init_psi(spectral_matrix(obs, sched))
+    a_bar = ls_a_bar(psi, obs, sched)
+    history = [objective(a_bar, psi, obs, sched)]
     floor = _rounding_floor(obs)
     converged = False
     for _ in range(config.resolved_max_iters()):
-        state = iterate(state, obs, sched)
-        if _stalled(state.objective_history, floor):
+        a_bar, psi, value = iterate(a_bar, psi, history[-1], obs, sched)
+        history.append(value)
+        if _stalled(history, floor):
             converged = True
             break
 
     return EstimateResult(
-        a_bar_hat=state.a_bar,
-        a_b_hat=array_response(sched.pilots.shape[1], state.psi),
-        psi_hat=state.psi,
+        a_bar_hat=a_bar,
+        a_b_hat=array_response(sched.pilots.shape[1], psi),
+        psi_hat=psi,
         converged=converged,
-        objective_history=state.objective_history,
+        objective_history=history,
     )

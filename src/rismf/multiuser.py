@@ -11,9 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .channel import array_response
-from .mf import _COND_LIMIT, manifold_coefficients, maximize_over_manifold
+from .mf import _cholesky, manifold_coefficients, maximize_over_manifold
 from .signals import ObservationSet, UplinkSchedule, despread
 
 __all__ = [
@@ -30,14 +31,13 @@ class MultiUserEstimate:
     """Two-stage estimate for all users.
 
     ``h_hats[q]`` is the (n_bs, m_ris) cascaded estimate
-    ``a_b(psi_hat) a_bar_hats[q]^H``. ``predicted_mse`` is the schedule's
-    noise-floor prediction for each user's ``a_bar`` error.
+    ``a_b(psi_hat) a_bar_hats[q]^H``. :func:`predicted_mse` gives the
+    schedule's noise-floor prediction for each user's ``a_bar`` error.
     """
 
     psi_hat: float
     a_bar_hats: np.ndarray
     h_hats: np.ndarray
-    predicted_mse: float
 
 
 def estimate_psi_uplink(s_list) -> float:
@@ -52,15 +52,13 @@ def estimate_psi_uplink(s_list) -> float:
     return maximize_over_manifold(manifold_coefficients(stacked @ stacked.conj().T))
 
 
-def _phase_gram(phase_matrix: np.ndarray) -> np.ndarray:
-    """The (m, m) Gram ``theta theta^H`` of a phase schedule, checked for full rank."""
+def _phase_gram_factor(phase_matrix: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Cholesky factor of the (m, m) Gram ``theta theta^H`` of a phase
+    schedule, checked for full rank by :func:`~rismf.mf._cholesky`."""
     m_ris, k = phase_matrix.shape
     if k < m_ris:
         raise ValueError(f"stage-2 LS needs k >= m_ris, got k={k}, m_ris={m_ris}")
-    gram = phase_matrix @ phase_matrix.conj().T
-    if np.linalg.cond(gram) > _COND_LIMIT:
-        raise ValueError("phase schedule loses rank; stage-2 LS is ill posed")
-    return gram
+    return _cholesky(phase_matrix @ phase_matrix.conj().T)
 
 
 def estimate_a_q(s_q: np.ndarray, phase_matrix: np.ndarray, psi_hat: float) -> np.ndarray:
@@ -75,12 +73,12 @@ def estimate_a_q(s_q: np.ndarray, phase_matrix: np.ndarray, psi_hat: float) -> n
 
     computed here without forming the Kronecker matrix. ``s_q`` is one
     despread user, shape (n_bs, k), giving shape (m,), or a stack of them,
-    shape (q, n_bs, k), giving shape (q, m) from one Gram.
+    shape (q, n_bs, k), giving shape (q, m) from one Cholesky factor.
     """
-    gram = _phase_gram(phase_matrix)
+    factor = _phase_gram_factor(phase_matrix)
     a_b = array_response(s_q.shape[-2], psi_hat)
     projected = s_q.conj().swapaxes(-1, -2) @ a_b  # (k,) or (q, k)
-    return np.linalg.solve(gram, phase_matrix @ projected.T).T
+    return scipy.linalg.cho_solve(factor, phase_matrix @ projected.T, check_finite=False).T
 
 
 def predicted_mse(noise_var: float, t_symbols: int, phase_matrix: np.ndarray) -> float:
@@ -89,10 +87,14 @@ def predicted_mse(noise_var: float, t_symbols: int, phase_matrix: np.ndarray) ->
     Equals ``(noise_var / T) trace((conj(theta) theta^T)^{-1})``; the angle
     drops out because the steering vector has unit norm. Minimized exactly
     when ``theta theta^H = K I`` (e.g. the DFT schedule), where the value is
-    ``noise_var m_ris / (K T)``.
+    ``noise_var m_ris / (K T)``. The trace is the squared Frobenius norm of
+    the inverse Cholesky factor.
     """
-    gram = _phase_gram(phase_matrix)
-    return float(noise_var / t_symbols * np.trace(np.linalg.inv(gram)).real)
+    triangle, lower = _phase_gram_factor(phase_matrix)
+    inverse = scipy.linalg.solve_triangular(
+        triangle, np.eye(triangle.shape[0]), lower=lower, check_finite=False
+    )
+    return float(noise_var / t_symbols * np.sum(np.abs(inverse) ** 2))
 
 
 def estimate_multi_user(
@@ -114,9 +116,4 @@ def estimate_multi_user(
     a_bar_hats = estimate_a_q(despread_all, sched.phase_matrix, psi_hat)
     a_b = array_response(obs.values.shape[1], psi_hat)
     h_hats = a_b[None, :, None] * a_bar_hats.conj()[:, None, :]
-    return MultiUserEstimate(
-        psi_hat=psi_hat,
-        a_bar_hats=a_bar_hats,
-        h_hats=h_hats,
-        predicted_mse=predicted_mse(obs.noise_var, sched.t_symbols, sched.phase_matrix),
-    )
+    return MultiUserEstimate(psi_hat=psi_hat, a_bar_hats=a_bar_hats, h_hats=h_hats)

@@ -36,9 +36,10 @@ class TestLsFull:
         chan, sched, cas, obs = make_case(304, k=40)
         assert nmse(cas.h_e, ls_full(obs, sched)) <= 1e-12
 
-    def test_tall_budget_matches_lstsq(self):
-        _, sched, _, obs = make_case(308, k=40, noise_var=0.5)
-        design = np.einsum("kn,km->knm", sched.pilots, sched.phases).reshape(40, 24)
+    @pytest.mark.parametrize("k", [24, 40])
+    def test_tall_budget_matches_lstsq(self, k):
+        _, sched, _, obs = make_case(308, k=k, noise_var=0.5)
+        design = np.einsum("kn,km->knm", sched.pilots, sched.phases).reshape(k, 24)
         reference = np.linalg.lstsq(design, obs.values, rcond=None)[0].reshape(4, 6).T
         h_hat = ls_full(obs, sched)
         assert np.linalg.norm(h_hat - reference) <= 1e-10 * np.linalg.norm(reference)

@@ -72,12 +72,22 @@ class TestSweepCommands:
         assert len(records) == 1
         assert records[0].seed == trial_seed(7, "MF_AM", 0, 0, 0)
 
-    def test_threads_do_not_change_results(self, tmp_path):
-        config = write_config(tmp_path / "spec.json")
+    @pytest.mark.parametrize("command", ["single-user", "multi-user"])
+    def test_threads_do_not_change_results(self, tmp_path, command):
+        if command == "single-user":
+            config = write_config(tmp_path / "spec.json")
+        else:
+            config = write_config(
+                tmp_path / "spec.json",
+                scenario="multi_user_uplink",
+                dims=dict(n_bs=4, m_ris=6, q_users=2, t_symbols=2),
+                k_grid=[12, 24],
+                estimators=[],
+            )
         serial = tmp_path / "serial.csv"
         threaded = tmp_path / "threaded.csv"
-        assert main(["single-user", "--config", config, "--out", str(serial)]) == 0
-        assert main(["single-user", "--config", config, "--out", str(threaded),
+        assert main([command, "--config", config, "--out", str(serial)]) == 0
+        assert main([command, "--config", config, "--out", str(threaded),
                      "--threads", "3"]) == 0
         assert serial.read_bytes() == threaded.read_bytes()
 

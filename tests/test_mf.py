@@ -21,7 +21,6 @@ from rismf import (
 )
 from rismf.channel import steering_matrix
 from rismf.mf import (
-    MfState,
     _angle_coefficients,
     _scaled_lstsq,
     am_iterate,
@@ -156,9 +155,10 @@ class TestManifoldSearch:
         fine = np.arange(20_000) / 20_000
         for name, (gram, linear) in angle_objectives(seed).items():
             grid_best = manifold_score(gram, linear, fine).max()
-            found = manifold_score(
-                gram, linear, [maximize_over_manifold(manifold_coefficients(gram, linear))]
-            )[0]
+            coef = manifold_coefficients(gram)
+            if linear is not None:
+                coef += 2.0 * linear / np.sqrt(len(coef))
+            found = manifold_score(gram, linear, [maximize_over_manifold(coef)])[0]
             assert found >= grid_best - 1e-12 * abs(grid_best), name
 
 
@@ -213,7 +213,8 @@ class TestAngleCoefficients:
         a_bar = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         values = rng.standard_normal(k) + 1j * rng.standard_normal(k)
         scaled = ((sched.phases @ a_bar)[:, None] * sched.pilots).T
-        reference = manifold_coefficients(-(scaled @ scaled.conj().T), scaled @ values.conj())
+        reference = manifold_coefficients(-(scaled @ scaled.conj().T))
+        reference += 2.0 * (scaled @ values.conj()) / np.sqrt(n_bs)
         coef = _angle_coefficients(a_bar, ObservationSet(values=values, noise_var=0.1), sched)
         assert np.linalg.norm(coef - reference) <= 1e-12 * np.linalg.norm(reference)
 
@@ -317,25 +318,22 @@ class TestAmIterate:
     def test_ground_truth_is_fixed_point(self):
         for seed in range(3):
             chan, sched, cas, obs = make_case(8000 + seed)
-            state = MfState(a_bar=cas.a_bar.copy(), psi=chan.psi)
-            new = am_iterate(state, obs, sched)
-            rel = np.linalg.norm(new.a_bar - cas.a_bar) / np.linalg.norm(cas.a_bar)
+            value = objective(cas.a_bar, chan.psi, obs, sched)
+            a_bar, psi, _ = am_iterate(cas.a_bar.copy(), chan.psi, value, obs, sched)
+            rel = np.linalg.norm(a_bar - cas.a_bar) / np.linalg.norm(cas.a_bar)
             assert rel <= 1e-10
-            assert circular_distance(new.psi, chan.psi) <= 1e-10
+            assert circular_distance(psi, chan.psi) <= 1e-10
 
     def test_objective_never_increases(self):
         rng = np.random.default_rng(151)
         chan, sched, cas, obs = make_case(152, noise_var=1.0)
-        state = MfState(
-            a_bar=rng.standard_normal(32) + 1j * rng.standard_normal(32),
-            psi=float(rng.uniform()),
-        )
+        a_bar = rng.standard_normal(32) + 1j * rng.standard_normal(32)
+        psi = float(rng.uniform())
+        value = objective(a_bar, psi, obs, sched)
         for _ in range(10):
-            new = am_iterate(state, obs, sched)
-            assert new.objective_history[-1] <= objective(
-                state.a_bar, state.psi, obs, sched
-            ) * (1 + 1e-9) + 1e-12
-            state = new
+            previous = objective(a_bar, psi, obs, sched)
+            a_bar, psi, value = am_iterate(a_bar, psi, value, obs, sched)
+            assert value <= previous * (1 + 1e-9) + 1e-12
 
 
 class TestGdGradients:
@@ -374,14 +372,12 @@ class TestGdIterate:
     def test_backtracking_keeps_objective_monotone(self):
         chan, sched, cas, obs = make_case(173, noise_var=1.0)
         rng = np.random.default_rng(174)
-        state = MfState(
-            a_bar=rng.standard_normal(32) + 1j * rng.standard_normal(32),
-            psi=float(rng.uniform()),
-        )
-        values = [objective(state.a_bar, state.psi, obs, sched)]
+        a_bar = rng.standard_normal(32) + 1j * rng.standard_normal(32)
+        psi = float(rng.uniform())
+        values = [objective(a_bar, psi, obs, sched)]
         for _ in range(50):
-            state = gd_iterate(state, obs, sched)
-            values.append(state.objective_history[-1])
+            a_bar, psi, value = gd_iterate(a_bar, psi, values[-1], obs, sched)
+            values.append(value)
         diffs = np.diff(values)
         assert np.all(diffs <= 1e-12)
 
