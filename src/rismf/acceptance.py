@@ -74,7 +74,7 @@ def _criterion_dft_mse_optimality():
     rng = _rng("mse-floor", 0)
     worst_gap = np.inf
     for _ in range(100):
-        schedule = random_phase_schedule(m_ris, k, rng).T
+        schedule = random_phase_schedule(m_ris, k, rng)
         value = predicted_mse(noise_var, t_symbols, schedule)
         worst_gap = min(worst_gap, value - floor)
         if value < floor - 1e-12:
@@ -314,14 +314,14 @@ def _criterion_kron_equivalence():
         for m_ris in range(1, 5):
             for k in range(m_ris, 5):
                 rng = _rng("kron", n_bs * 100 + m_ris * 10 + k)
-                schedule = random_phase_schedule(m_ris, k, rng).T
+                schedule = random_phase_schedule(m_ris, k, rng)
                 psi = float(rng.uniform())
                 s_q = (rng.standard_normal((n_bs, k))
                        + 1j * rng.standard_normal((n_bs, k)))
                 fast = estimate_a_q(s_q, schedule, psi)
 
                 a_b = array_response(n_bs, psi)
-                kron = np.kron(schedule.T, a_b[:, None])
+                kron = np.kron(schedule, a_b[:, None])
                 vec = s_q.reshape(-1, order="F")
                 reference, *_ = np.linalg.lstsq(kron, vec, rcond=None)
                 reference = reference.conj()
@@ -335,7 +335,7 @@ def _criterion_kron_equivalence():
     return True, f"fast path matches Kronecker LS on all 40 instances (worst {worst:.2e})"
 
 
-def _criterion_determinism(tmp_dir=None):
+def _criterion_determinism():
     """Sweep output is byte-identical across reruns and thread counts."""
     import tempfile
     from pathlib import Path
@@ -350,7 +350,7 @@ def _criterion_determinism(tmp_dir=None):
         master_seed=_MASTER,
     )
     outputs = []
-    with tempfile.TemporaryDirectory(dir=tmp_dir) as tmp:
+    with tempfile.TemporaryDirectory() as tmp:
         for run, threads in enumerate((1, 2, 4, 1)):
             path = Path(tmp) / f"run{run}.csv"
             write_results(run_sweep(spec, n_threads=threads), path, "csv", spec=spec)

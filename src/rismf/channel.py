@@ -15,6 +15,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,6 +68,11 @@ def complex_normal(rng: np.random.Generator, shape=None, var: float = 1.0):
     return scale * (re + 1j * im)
 
 
+def _is_count(value) -> bool:
+    """True for a positive integer; bools are not counts."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1
+
+
 @dataclass(frozen=True)
 class SystemDims:
     """Static problem dimensions.
@@ -84,7 +90,7 @@ class SystemDims:
     def __post_init__(self):
         for name in ("n_bs", "m_ris", "k_pilots", "q_users", "t_symbols"):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < 1:
+            if not _is_count(value):
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 

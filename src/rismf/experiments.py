@@ -17,6 +17,7 @@ from . import __version__
 from .baselines import lr_rankone, ls_full
 from .channel import (
     SystemDims,
+    _is_count,
     array_response,
     cascaded_downlink,
     cascaded_uplink,
@@ -179,11 +180,6 @@ def simulate_uplink(
     return cascades, sched, obs
 
 
-def _is_count(value) -> bool:
-    """True for a positive integer; bools are not counts."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1
-
-
 @dataclass
 class ExperimentSpec:
     """Declarative description of one Monte Carlo sweep.
@@ -205,6 +201,11 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario {self.scenario!r}")
+        if isinstance(self.dims, dict):
+            try:
+                self.dims = SystemDims(**self.dims)
+            except (TypeError, ValueError) as err:
+                raise ValueError(f"invalid dims {self.dims!r}: {err}") from err
         if not isinstance(self.dims, SystemDims):
             raise ValueError(
                 f"dims must be a SystemDims or a mapping of its fields, got {self.dims!r}"
@@ -245,13 +246,9 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentSpec":
-        data = dict(raw)
         try:
-            dims = data["dims"]
-            if isinstance(dims, dict):
-                data["dims"] = SystemDims(**dims)
-            return cls(**data)
-        except (TypeError, KeyError) as err:
+            return cls(**raw)
+        except TypeError as err:
             raise ValueError(f"invalid experiment spec: {err}") from err
 
 

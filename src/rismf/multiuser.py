@@ -1,9 +1,9 @@
 """Uplink multi-user estimator: shared angle search plus per-user LS.
 
-After despreading, user q's data is ``S_q = a_b(psi) a_bar_q^H theta + N_q``
-with a common BS-side angle and per-user RIS-side factors, so estimation
-splits into one 1-D search shared by all users followed by Q independent
-linear solves.
+After despreading, user q's data is ``S_q = a_b(psi) a_bar_q^H theta^T + N_q``
+for the (k, m) phase schedule theta, with a common BS-side angle and per-user
+RIS-side factors, so estimation splits into one 1-D search shared by all
+users followed by Q independent linear solves.
 """
 
 from __future__ import annotations
@@ -24,6 +24,8 @@ __all__ = [
     "predicted_mse",
     "estimate_multi_user",
 ]
+
+_TRTRI = scipy.linalg.lapack.get_lapack_funcs("trtri", dtype=complex)
 
 
 @dataclass
@@ -52,48 +54,48 @@ def estimate_psi_uplink(s_list) -> float:
     return maximize_over_manifold(manifold_coefficients(stacked @ stacked.conj().T))
 
 
-def _phase_gram_factor(phase_matrix: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Cholesky factor of the (m, m) Gram ``theta theta^H`` of a phase
-    schedule, checked for full rank by :func:`~rismf.mf._cholesky`."""
-    m_ris, k = phase_matrix.shape
+def _phase_gram_factor(phases: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Cholesky factor of the (m, m) Gram ``theta^T conj(theta)`` of a (k, m)
+    phase schedule, checked for full rank by :func:`~rismf.mf._cholesky`."""
+    k, m_ris = phases.shape
     if k < m_ris:
         raise ValueError(f"stage-2 LS needs k >= m_ris, got k={k}, m_ris={m_ris}")
-    return _cholesky(phase_matrix @ phase_matrix.conj().T)
+    return _cholesky(phases.T @ phases.conj())
 
 
-def estimate_a_q(s_q: np.ndarray, phase_matrix: np.ndarray, psi_hat: float) -> np.ndarray:
+def estimate_a_q(s_q: np.ndarray, phases: np.ndarray, psi_hat: float) -> np.ndarray:
     """LS estimate of a user's RIS-side factor at the given angle.
 
-    The textbook solution is the conjugated pseudoinverse of the (n k, m)
-    matrix ``theta^T kron a_b`` applied to vec(S_q). Because the left factor
-    has unit norm, the Gram collapses to the (m, m) Gram of the phase
-    schedule, so the same estimate is
+    ``phases`` is the (k, m) schedule theta. The textbook solution is the
+    conjugated pseudoinverse of the (n k, m) matrix ``theta kron a_b`` applied
+    to vec(S_q). Because the left factor has unit norm, the Gram collapses to
+    the (m, m) Gram of the phase schedule, so the same estimate is
 
-        a_bar = (theta theta^H)^{-1} theta S_q^H a_b(psi_hat),
+        a_bar = (theta^T conj(theta))^{-1} theta^T S_q^H a_b(psi_hat),
 
     computed here without forming the Kronecker matrix. ``s_q`` is one
     despread user, shape (n_bs, k), giving shape (m,), or a stack of them,
     shape (q, n_bs, k), giving shape (q, m) from one Cholesky factor.
     """
-    factor = _phase_gram_factor(phase_matrix)
+    factor = _phase_gram_factor(phases)
     a_b = array_response(s_q.shape[-2], psi_hat)
     projected = s_q.conj().swapaxes(-1, -2) @ a_b  # (k,) or (q, k)
-    return scipy.linalg.cho_solve(factor, phase_matrix @ projected.T, check_finite=False).T
+    return scipy.linalg.cho_solve(factor, phases.T @ projected.T, check_finite=False).T
 
 
-def predicted_mse(noise_var: float, t_symbols: int, phase_matrix: np.ndarray) -> float:
+def predicted_mse(noise_var: float, t_symbols: int, phases: np.ndarray) -> float:
     """Schedule-dependent MSE of the stage-2 estimate.
 
-    Equals ``(noise_var / T) trace((conj(theta) theta^T)^{-1})``; the angle
-    drops out because the steering vector has unit norm. Minimized exactly
-    when ``theta theta^H = K I`` (e.g. the DFT schedule), where the value is
-    ``noise_var m_ris / (K T)``. The trace is the squared Frobenius norm of
-    the inverse Cholesky factor.
+    Equals ``(noise_var / T) trace((theta^H theta)^{-1})`` for the (k, m)
+    schedule theta; the angle drops out because the steering vector has unit
+    norm. Minimized exactly when ``theta^H theta = K I`` (e.g. the DFT
+    schedule), where the value is ``noise_var m_ris / (K T)``. The trace is
+    the squared Frobenius norm of the inverse Cholesky factor, which LAPACK
+    ``trtri`` inverts in place of a solve against the identity.
     """
-    triangle, lower = _phase_gram_factor(phase_matrix)
-    inverse = scipy.linalg.solve_triangular(
-        triangle, np.eye(triangle.shape[0]), lower=lower, check_finite=False
-    )
+    triangle, lower = _phase_gram_factor(phases)
+    # cho_factor leaves Gram entries in the factor's unused triangle
+    inverse, _ = _TRTRI(np.tril(triangle) if lower else np.triu(triangle), lower=lower)
     return float(noise_var / t_symbols * np.sum(np.abs(inverse) ** 2))
 
 
@@ -107,13 +109,13 @@ def estimate_multi_user(
     ``psi_override`` injects a known angle (skipping stage 1), used to study
     the stage-2 error floor in isolation.
     """
-    despread_all = np.stack([despread(obs, sched, q) for q in range(sched.q_users)])
+    despread_all = despread(obs, sched)
     if psi_override is not None:
         psi_hat = float(psi_override)
     else:
         psi_hat = estimate_psi_uplink(despread_all)
 
-    a_bar_hats = estimate_a_q(despread_all, sched.phase_matrix, psi_hat)
+    a_bar_hats = estimate_a_q(despread_all, sched.phases, psi_hat)
     a_b = array_response(obs.values.shape[1], psi_hat)
     h_hats = a_b[None, :, None] * a_bar_hats.conj()[:, None, :]
     return MultiUserEstimate(psi_hat=psi_hat, a_bar_hats=a_bar_hats, h_hats=h_hats)

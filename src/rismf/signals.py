@@ -75,36 +75,30 @@ class PilotSchedule:
 
 @dataclass
 class UplinkSchedule:
-    """Uplink training schedule: RIS phases per block and per-user pilots.
+    """Uplink training schedule: one RIS phase vector per block, one pilot block.
 
-    ``phase_matrix`` has shape (m_ris, k) with unit-modulus entries; column k
-    is the RIS configuration held for block k.  ``user_pilots`` has shape
-    (k, q_users, t_symbols); the default construction repeats mutually
-    orthogonal pilots in every block.
+    ``phases`` has shape (k, m_ris) with unit-modulus entries, slot-major as in
+    :class:`PilotSchedule`: row k is the RIS configuration held for block k.
+    ``user_pilots`` has shape (q_users, t_symbols); row q is the pilot user q
+    sends in every block.
     """
 
-    phase_matrix: np.ndarray
+    phases: np.ndarray
     user_pilots: np.ndarray
 
     def __post_init__(self):
-        if self.phase_matrix.ndim != 2 or self.user_pilots.ndim != 3:
-            raise ValueError("phase_matrix must be 2-D and user_pilots 3-D")
-        if self.phase_matrix.shape[1] != self.user_pilots.shape[0]:
-            raise ValueError("phase_matrix columns must match user_pilots blocks")
-        if np.abs(np.abs(self.phase_matrix) - 1.0).max() > _UNIT_TOL:
+        if self.phases.ndim != 2 or self.user_pilots.ndim != 2:
+            raise ValueError("phases (k, m_ris) and user_pilots (q_users, t_symbols) must be 2-D")
+        if np.abs(np.abs(self.phases) - 1.0).max() > _UNIT_TOL:
             raise ValueError("every phase entry must have unit modulus")
 
     @property
-    def k_blocks(self) -> int:
-        return self.phase_matrix.shape[1]
-
-    @property
     def q_users(self) -> int:
-        return self.user_pilots.shape[1]
+        return self.user_pilots.shape[0]
 
     @property
     def t_symbols(self) -> int:
-        return self.user_pilots.shape[2]
+        return self.user_pilots.shape[1]
 
 
 @dataclass
@@ -143,15 +137,15 @@ def random_phase_schedule(m_ris: int, k: int, rng: np.random.Generator) -> np.nd
 
 
 def dft_phase_schedule(m_ris: int, k: int) -> np.ndarray:
-    """First ``m_ris`` rows of the K-point DFT matrix, shape (m_ris, k).
+    """First ``m_ris`` columns of the K-point DFT matrix, shape (k, m_ris).
 
-    Entry (m, k) is ``exp(-j 2 pi m k / K)``. Requires ``k >= m_ris`` so the
-    rows stay orthogonal: ``theta theta^H = k I``, the training design that
+    Entry (k, m) is ``exp(-j 2 pi k m / K)``. Requires ``k >= m_ris`` so the
+    columns stay orthogonal: ``theta^H theta = k I``, the training design that
     meets the MSE lower bound.
     """
     if k < m_ris:
         raise ValueError(f"DFT schedule needs k >= m_ris, got k={k}, m_ris={m_ris}")
-    grid = np.outer(np.arange(m_ris), np.arange(k))
+    grid = np.outer(np.arange(k), np.arange(m_ris))
     return np.exp(-2j * np.pi * grid / k)
 
 
@@ -169,6 +163,19 @@ def orthogonal_user_pilots(q_users: int, t_symbols: int) -> np.ndarray:
     return np.exp(-2j * np.pi * grid / t_symbols)
 
 
+def _phase_schedule(
+    dims: SystemDims, rng: np.random.Generator | None, phase_design: str
+) -> np.ndarray:
+    """The (k, m_ris) RIS phases of either link: ``"dft"`` or ``"random"``."""
+    if phase_design == "dft":
+        return dft_phase_schedule(dims.m_ris, dims.k_pilots)
+    if phase_design != "random":
+        raise ValueError(f"unknown phase_design {phase_design!r}")
+    if rng is None:
+        raise ValueError("random phase design needs an rng")
+    return random_phase_schedule(dims.m_ris, dims.k_pilots, rng)
+
+
 def make_pilot_schedule(
     dims: SystemDims,
     rng: np.random.Generator,
@@ -176,13 +183,7 @@ def make_pilot_schedule(
 ) -> PilotSchedule:
     """Random unit-norm pilots plus a random or DFT RIS phase schedule."""
     pilots = random_pilots(dims.n_bs, dims.k_pilots, rng)
-    if phase_design == "random":
-        phases = random_phase_schedule(dims.m_ris, dims.k_pilots, rng)
-    elif phase_design == "dft":
-        phases = dft_phase_schedule(dims.m_ris, dims.k_pilots).T.copy()
-    else:
-        raise ValueError(f"unknown phase_design {phase_design!r}")
-    return PilotSchedule(pilots=pilots, phases=phases)
+    return PilotSchedule(pilots=pilots, phases=_phase_schedule(dims, rng, phase_design))
 
 
 def make_uplink_schedule(
@@ -190,20 +191,11 @@ def make_uplink_schedule(
     rng: np.random.Generator | None = None,
     phase_design: str = "dft",
 ) -> UplinkSchedule:
-    """Uplink schedule with orthogonal user pilots repeated in every block."""
-    if phase_design == "dft":
-        phase_matrix = dft_phase_schedule(dims.m_ris, dims.k_pilots)
-    elif phase_design == "random":
-        if rng is None:
-            raise ValueError("random phase design needs an rng")
-        phase_matrix = random_phase_schedule(dims.m_ris, dims.k_pilots, rng).T.copy()
-    else:
-        raise ValueError(f"unknown phase_design {phase_design!r}")
-    block = orthogonal_user_pilots(dims.q_users, dims.t_symbols)
-    user_pilots = np.broadcast_to(
-        block, (dims.k_pilots, dims.q_users, dims.t_symbols)
-    ).copy()
-    return UplinkSchedule(phase_matrix=phase_matrix, user_pilots=user_pilots)
+    """Uplink schedule: DFT or random RIS phases and one orthogonal pilot block."""
+    return UplinkSchedule(
+        phases=_phase_schedule(dims, rng, phase_design),
+        user_pilots=orthogonal_user_pilots(dims.q_users, dims.t_symbols),
+    )
 
 
 def downlink_observe(
@@ -235,15 +227,15 @@ def uplink_observe(
     noise_var: float,
     rng: np.random.Generator | None = None,
 ) -> ObservationSet:
-    """Received uplink blocks ``R_k = sum_q g diag(theta_k) h_q x_qk^T + N_k``.
+    """Received uplink blocks ``R_k = sum_q g diag(theta_k) h_q x_q^T + N_k``.
 
     ``g_uplink`` is (n_bs, m_ris) and ``h_users`` is (q_users, m_ris); the
     result is (k, n_bs, t_symbols) with i.i.d. complex Gaussian block noise of
     variance ``noise_var`` per entry.
     """
-    effective = sched.phase_matrix.T[:, None, :] * h_users[None, :, :]  # (k, q, m)
+    effective = sched.phases[:, None, :] * h_users[None, :, :]  # (k, q, m)
     per_user = np.einsum("nm,kqm->knq", g_uplink, effective)
-    values = np.einsum("knq,kqt->knt", per_user, sched.user_pilots)
+    values = per_user @ sched.user_pilots
     if noise_var > 0.0:
         if rng is None:
             raise ValueError("noisy observation needs an rng")
@@ -251,14 +243,13 @@ def uplink_observe(
     return ObservationSet(values=values, noise_var=float(noise_var))
 
 
-def despread(obs: ObservationSet, sched: UplinkSchedule, q: int) -> np.ndarray:
-    """Project received blocks onto user q's pilot, shape (n_bs, k).
+def despread(obs: ObservationSet, sched: UplinkSchedule) -> np.ndarray:
+    """Project received blocks onto every user's pilot, shape (q_users, n_bs, k).
 
-    Column k is ``(1/T) R_k conj(x_qk)``; with the orthogonal pilot
+    Entry [q, :, k] is ``(1/T) R_k conj(x_q)``; with the orthogonal pilot
     construction this removes every other user exactly and leaves noise of
     variance ``noise_var / T`` per entry.
     """
     if obs.values.ndim != 3:
         raise ValueError("despread needs uplink observations (k, n_bs, t_symbols)")
-    t_symbols = sched.t_symbols
-    return np.einsum("knt,kt->nk", obs.values, sched.user_pilots[:, q, :].conj()) / t_symbols
+    return np.einsum("knt,qt->qnk", obs.values, sched.user_pilots.conj()) / sched.t_symbols

@@ -47,6 +47,16 @@ class TestSystemDims:
         with pytest.raises(ValueError):
             SystemDims(**{**good, field: 0})
 
+    @pytest.mark.parametrize("field", ["n_bs", "m_ris", "k_pilots", "q_users", "t_symbols"])
+    def test_rejects_bool(self, field):
+        # True == 1, but a flag is not a count
+        good = dict(n_bs=4, m_ris=6, k_pilots=8, q_users=2, t_symbols=3)
+        with pytest.raises(ValueError, match=field):
+            SystemDims(**{**good, field: True})
+
+    def test_accepts_numpy_integers(self):
+        assert SystemDims(n_bs=np.int64(4), m_ris=np.int32(6)).m_ris == 6
+
 
 class TestSampleChannel:
     def test_deterministic_given_seed(self):

@@ -117,6 +117,7 @@ class TestSweepCommands:
         dict(master_seed=1.7),
         dict(master_seed="7"),
         dict(master_seed=True),
+        dict(dims=dict(n_bs=True, m_ris=6)),
     ])
     def test_malformed_spec_exits_1(self, tmp_path, capsys, overrides):
         config = write_config(tmp_path / "spec.json", **overrides)
@@ -145,8 +146,9 @@ class TestOverheadCommand:
 
     @pytest.mark.parametrize(
         "body",
-        [{"dims": {"n_bs": 2, "m_ris": 3, "antennas": 4}}, [2, 3], {"dims": [2, 3]}],
-        ids=["unknown-key", "list", "dims-list"],
+        [{"dims": {"n_bs": 2, "m_ris": 3, "antennas": 4}}, [2, 3], {"dims": [2, 3]},
+         {"dims": {"n_bs": True, "m_ris": 6}}],
+        ids=["unknown-key", "list", "dims-list", "bool-count"],
     )
     def test_bad_config_is_an_invalid_spec(self, tmp_path, capsys, body):
         config = tmp_path / "dims.json"

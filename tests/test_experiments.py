@@ -136,7 +136,7 @@ class TestSimulate:
         ref_chan = sample_channel(dims, rng)
         ref_sched = make_uplink_schedule(dims, rng, phase_design="random")
         g_up = ref_chan.g_uplink()
-        np.testing.assert_array_equal(sched.phase_matrix, ref_sched.phase_matrix)
+        np.testing.assert_array_equal(sched.phases, ref_sched.phases)
         ref_obs = uplink_observe(g_up, ref_chan.h_users, ref_sched, 0.3, rng)
         np.testing.assert_array_equal(obs.values, ref_obs.values)
         # the truths are built after the draws and consume none
@@ -252,6 +252,7 @@ class TestExperimentSpec:
         ("master_seed", "7"),
         ("master_seed", True),
         ("dims", [4, 6]),
+        ("dims", {"n_bs": True, "m_ris": 6}),
     ])
     def test_rejects_malformed_field(self, field, value):
         with pytest.raises(ValueError, match=field):

@@ -119,7 +119,7 @@ def angle_objectives(seed):
     scaled = ((sched.phases @ a_bar)[:, None] * sched.pilots).T
     uplink_dims = SystemDims(n_bs=16, m_ris=32, k_pilots=64, q_users=3, t_symbols=3)
     _, up_sched, up_obs = simulate_uplink(uplink_dims, obs.noise_var, rng, "dft")
-    z = np.hstack([despread(up_obs, up_sched, q) for q in range(3)])
+    z = np.hstack(despread(up_obs, up_sched))
     return {
         "spectral": (s.conj().T @ s, None),
         "am": (-(scaled @ scaled.conj().T), scaled @ obs.values.conj()),

@@ -45,8 +45,7 @@ class TestEstimatePsiUplink:
     def test_noiseless_despread_data(self):
         for seed in range(4000, 4005):
             chan, g_up, sched, obs = make_uplink_case(seed)
-            s_list = [despread(obs, sched, q) for q in range(sched.q_users)]
-            found = estimate_psi_uplink(s_list)
+            found = estimate_psi_uplink(despread(obs, sched))
             assert circular_distance(found, chan.psi) <= 1e-5
 
     def test_zero_data_rejected(self):
@@ -61,7 +60,7 @@ class TestEstimateAQ:
         a_b = array_response(8, psi)
         a_q = rng.standard_normal(12) + 1j * rng.standard_normal(12)
         phase = dft_phase_schedule(12, 24)
-        s_q = np.outer(a_b, a_q.conj()) @ phase
+        s_q = np.outer(a_b, a_q.conj()) @ phase.T
         a_hat = estimate_a_q(s_q, phase, psi)
         assert np.linalg.norm(a_hat - a_q) / np.linalg.norm(a_q) <= 1e-10
 
@@ -77,9 +76,9 @@ class TestEstimateAQ:
         for trial in range(5):
             psi = float(rng.uniform())
             a_b = array_response(4, psi)
-            phase = random_phase_schedule(6, 9, rng).T.copy()
+            phase = random_phase_schedule(6, 9, rng)
             s_q = rng.standard_normal((4, 9)) + 1j * rng.standard_normal((4, 9))
-            design = np.kron(phase.T, a_b[:, None])
+            design = np.kron(phase, a_b[:, None])
             reference, *_ = np.linalg.lstsq(design, s_q.reshape(-1, order="F"), rcond=None)
             reference = reference.conj()
             fast = estimate_a_q(s_q, phase, psi)
@@ -87,21 +86,21 @@ class TestEstimateAQ:
 
     def test_stacked_users_match_per_user_calls(self):
         chan, g_up, sched, obs = make_uplink_case(223, noise_var=0.5)
-        stack = np.stack([despread(obs, sched, q) for q in range(sched.q_users)])
+        stack = despread(obs, sched)
         psi = estimate_psi_uplink(stack)
-        stacked = estimate_a_q(stack, sched.phase_matrix, psi)
+        stacked = estimate_a_q(stack, sched.phases, psi)
         assert stacked.shape == (sched.q_users, 50)
         for s_q, a_hat in zip(stack, stacked):
-            single = estimate_a_q(s_q, sched.phase_matrix, psi)
+            single = estimate_a_q(s_q, sched.phases, psi)
             assert np.linalg.norm(a_hat - single) <= 1e-12 * np.linalg.norm(single)
 
     def test_short_schedule_rejected(self):
-        phase = dft_phase_schedule(6, 6)[:, :5]
+        phase = dft_phase_schedule(6, 6)[:5]
         with pytest.raises(ValueError):
             estimate_a_q(np.zeros((4, 5), dtype=complex), phase, 0.1)
 
     def test_rank_deficient_schedule_rejected(self):
-        phase = np.ones((4, 8), dtype=complex)
+        phase = np.ones((8, 4), dtype=complex)
         with pytest.raises(ValueError):
             estimate_a_q(np.ones((3, 8), dtype=complex), phase, 0.1)
 
@@ -120,8 +119,17 @@ class TestPredictedMse:
         rng = np.random.default_rng(231)
         floor = predicted_mse(1.0, 2, dft_phase_schedule(8, 20))
         for _ in range(20):
-            random_phase = random_phase_schedule(8, 20, rng).T.copy()
+            random_phase = random_phase_schedule(8, 20, rng)
             assert predicted_mse(1.0, 2, random_phase) >= floor - 1e-12
+
+    def test_random_schedule_matches_explicit_inverse(self):
+        # off the DFT design the Gram has off-diagonal entries, which the
+        # Cholesky factor's unused triangle also holds
+        rng = np.random.default_rng(232)
+        for _ in range(20):
+            phase = random_phase_schedule(8, 20, rng)
+            reference = 0.7 / 3 * np.trace(np.linalg.inv(phase.conj().T @ phase)).real
+            np.testing.assert_allclose(predicted_mse(0.7, 3, phase), reference, rtol=1e-12)
 
     def test_scales_linearly_with_noise(self):
         phase = dft_phase_schedule(8, 16)
@@ -131,11 +139,11 @@ class TestPredictedMse:
 
     def test_rank_deficient_schedule_rejected(self):
         with pytest.raises(ValueError, match="rank deficient"):
-            predicted_mse(1.0, 2, np.ones((4, 8), dtype=complex))
+            predicted_mse(1.0, 2, np.ones((8, 4), dtype=complex))
 
     def test_short_schedule_rejected(self):
         with pytest.raises(ValueError, match="k >= m_ris"):
-            predicted_mse(1.0, 2, dft_phase_schedule(6, 6)[:, :5])
+            predicted_mse(1.0, 2, dft_phase_schedule(6, 6)[:5])
 
 
 class TestSharedRankCheck:
@@ -143,9 +151,9 @@ class TestSharedRankCheck:
 
     @staticmethod
     def near_parallel_schedule(eps):
-        # row 1 drifts from the all-ones row 0 by eps per slot; rows 2-3 are DFT rows
+        # column 1 drifts from the all-ones column 0 by eps per slot; columns 2-3 are DFT
         phase = dft_phase_schedule(4, 8).copy()
-        phase[1] = np.exp(1j * eps * np.arange(8))
+        phase[:, 1] = np.exp(1j * eps * np.arange(8))
         return phase
 
     def test_ill_conditioned_schedule_accepted(self):
@@ -199,9 +207,9 @@ class TestEstimateMultiUser:
         calls = []
         original = multiuser._phase_gram_factor
 
-        def counted(phase_matrix):
-            calls.append(phase_matrix)
-            return original(phase_matrix)
+        def counted(phases):
+            calls.append(phases)
+            return original(phases)
 
         monkeypatch.setattr(multiuser, "_phase_gram_factor", counted)
         _, _, sched, obs = make_uplink_case(246, noise_var=0.5)
@@ -231,6 +239,6 @@ class TestEstimateMultiUser:
                 total += 1
         predicted = predicted_mse(1.0, 2, make_uplink_schedule(
             SystemDims(n_bs=8, m_ris=12, k_pilots=24, q_users=2, t_symbols=2)
-        ).phase_matrix)
+        ).phases)
         empirical = float(np.mean(errors))
         assert abs(empirical / predicted - 1.0) <= 0.1

@@ -41,7 +41,7 @@ class TestScheduleGenerators:
 
     def test_dft_rows_orthogonal(self):
         theta = dft_phase_schedule(4, 8)
-        np.testing.assert_allclose(theta @ theta.conj().T, 8 * np.eye(4), atol=1e-9)
+        np.testing.assert_allclose(theta.T @ theta.conj(), 8 * np.eye(4), atol=1e-9)
 
     def test_dft_needs_enough_columns(self):
         with pytest.raises(ValueError):
@@ -98,9 +98,25 @@ class TestScheduleTypes:
     def test_uplink_schedule_rejects_non_unimodular_phases(self):
         with pytest.raises(ValueError):
             UplinkSchedule(
-                phase_matrix=0.3 * dft_phase_schedule(4, 8),
-                user_pilots=np.ones((8, 1, 1), dtype=complex),
+                phases=0.3 * dft_phase_schedule(4, 8),
+                user_pilots=np.ones((1, 1), dtype=complex),
             )
+
+    def test_uplink_schedule_rejects_per_block_pilots(self):
+        # the (k, q, t) per-block pilot layout fails here, not inside an einsum
+        with pytest.raises(ValueError, match="2-D"):
+            UplinkSchedule(phases=dft_phase_schedule(4, 8),
+                           user_pilots=np.ones((8, 1, 1), dtype=complex))
+
+    def test_uplink_schedule_rejects_1d_phases(self):
+        with pytest.raises(ValueError, match="2-D"):
+            UplinkSchedule(phases=np.ones(8, dtype=complex),
+                           user_pilots=np.ones((1, 1), dtype=complex))
+
+    def test_both_links_share_the_dft_layout(self):
+        dims = SystemDims(n_bs=4, m_ris=6, k_pilots=8, q_users=2, t_symbols=2)
+        downlink = make_pilot_schedule(dims, np.random.default_rng(8), phase_design="dft")
+        np.testing.assert_array_equal(downlink.phases, make_uplink_schedule(dims).phases)
 
     def test_make_pilot_schedule_dft_option(self):
         dims = SystemDims(n_bs=4, m_ris=6, k_pilots=8)
@@ -191,18 +207,17 @@ class TestUplinkObserve:
         sched = make_uplink_schedule(dims)
         obs = uplink_observe(g_up, chan.h_users, sched, 0.0)
         for k in range(8):
-            theta_k = sched.phase_matrix[:, k]
-            expected = g_up @ (theta_k * chan.h_users[0]) * sched.user_pilots[k, 0, 0]
+            theta_k = sched.phases[k]
+            expected = g_up @ (theta_k * chan.h_users[0]) * sched.user_pilots[0, 0]
             np.testing.assert_allclose(obs.values[k, :, 0], expected, atol=1e-13)
 
     def test_matches_per_user_accumulation(self):
         chan, g_up, sched, obs = self._setup()
-        k_blocks = sched.k_blocks
         brute = np.zeros_like(obs.values)
-        for k in range(k_blocks):
+        for k in range(len(sched.phases)):
             for q in range(sched.q_users):
-                diag = sched.phase_matrix[:, k] * chan.h_users[q]
-                brute[k] += np.outer(g_up @ diag, sched.user_pilots[k, q])
+                diag = sched.phases[k] * chan.h_users[q]
+                brute[k] += np.outer(g_up @ diag, sched.user_pilots[q])
         np.testing.assert_allclose(obs.values, brute, atol=1e-12)
 
     def test_negative_noise_variance_rejected(self):
@@ -229,10 +244,18 @@ class TestDespread:
 
     def test_noiseless_recovers_per_user_model(self):
         chan, g_up, sched, obs = self._setup()
-        for q in range(2):
-            s_q = despread(obs, sched, q)
-            expected = (g_up * chan.h_users[q][None, :]) @ sched.phase_matrix
+        for q, s_q in enumerate(despread(obs, sched)):
+            expected = (g_up * chan.h_users[q][None, :]) @ sched.phases.T
             np.testing.assert_allclose(s_q, expected, atol=1e-10)
+
+    def test_matches_per_user_loop(self):
+        _, _, sched, obs = self._setup(noise_var=0.4, q=3, t=5)
+        batched = despread(obs, sched)
+        assert batched.shape == (3, 4, 10)
+        for q in range(3):
+            for k in range(10):
+                expected = obs.values[k] @ sched.user_pilots[q].conj() / 5
+                np.testing.assert_allclose(batched[q, :, k], expected, atol=1e-13)
 
     def test_other_users_cancel_exactly(self):
         # user 1 transmitting alone must not leak into user 0's despread output
@@ -240,7 +263,7 @@ class TestDespread:
         solo = uplink_observe(
             g_up, np.stack([np.zeros(6, dtype=complex), chan.h_users[1]]), sched, 0.0
         )
-        leak = despread(solo, sched, 0)
+        leak = despread(solo, sched)[0]
         assert np.abs(leak).max() <= 1e-10
 
     def test_noise_variance_scales_with_symbols(self):
@@ -252,7 +275,7 @@ class TestDespread:
         samples = []
         for _ in range(5):
             obs = uplink_observe(np.zeros((5, 4), dtype=complex), zero_users, sched, noise_var, rng)
-            samples.append(despread(obs, sched, 0).ravel())
+            samples.append(despread(obs, sched)[0].ravel())
         empirical = np.mean(np.abs(np.concatenate(samples)) ** 2)
         assert abs(empirical / (noise_var / 4) - 1.0) <= 0.05
 
@@ -260,11 +283,11 @@ class TestDespread:
         chan, g_up, sched, obs = self._setup()
         doubled = ObservationSet(values=2.0 * obs.values, noise_var=obs.noise_var)
         np.testing.assert_allclose(
-            despread(doubled, sched, 1), 2.0 * despread(obs, sched, 1), atol=1e-12
+            despread(doubled, sched)[1], 2.0 * despread(obs, sched)[1], atol=1e-12
         )
 
     def test_rejects_downlink_observations(self):
         sched = make_uplink_schedule(SystemDims(n_bs=4, m_ris=6, k_pilots=8))
         flat = ObservationSet(values=np.zeros(8, dtype=complex), noise_var=0.0)
         with pytest.raises(ValueError):
-            despread(flat, sched, 0)
+            despread(flat, sched)
