@@ -61,6 +61,7 @@ from .experiments import (
     ESTIMATORS,
     ExperimentSpec,
     ResultRecord,
+    aggregate_nmse,
     nmse,
     overhead_table,
     read_records,

@@ -24,6 +24,7 @@ from .channel import (
 from .experiments import (
     ESTIMATORS,
     ExperimentSpec,
+    aggregate_nmse,
     nmse,
     run_sweep,
     simulate_downlink,
@@ -50,19 +51,33 @@ def _rng(tag: str, trial: int) -> np.random.Generator:
     return np.random.default_rng(trial_seed(_MASTER, tag, 0, 0, trial))
 
 
+def _angle_injected_mse(dims, noise_var, tag, k_index, n_trials):
+    """Mean per-user ``||a_bar_hat - a_bar||^2`` of the uplink stage 2 on a
+    DFT schedule, given the true angle; cell seeds are
+    ``trial_seed(_MASTER, tag, 0, k_index, trial)``."""
+    total, count = 0.0, 0
+    for trial in range(n_trials):
+        rng = np.random.default_rng(trial_seed(_MASTER, tag, 0, k_index, trial))
+        cascades, sched, obs = simulate_uplink(dims, noise_var, rng, "dft")
+        estimate = estimate_multi_user(obs, sched, psi_override=cascades[0].psi)
+        for cascade, a_bar_hat in zip(cascades, estimate.a_bar_hats):
+            total += float(np.sum(np.abs(a_bar_hat - cascade.a_bar) ** 2))
+            count += 1
+    return total / count
+
+
+def _sweep_10db(scenario, dims, k_grid, estimator):
+    """200 sweep cells per K of one estimator at 10 dB, seeded from ``_MASTER``."""
+    return run_sweep(ExperimentSpec(scenario=scenario, dims=dims, snr_grid_db=[10.0], k_grid=k_grid,
+                                    estimators=(estimator,), n_trials=200, master_seed=_MASTER))
+
+
 def _criterion_predicted_mse_empirical():
     """Empirical stage-2 MSE under the DFT design matches noise_var*M/(K*T)."""
     dims = SystemDims(n_bs=8, m_ris=16, k_pilots=32, q_users=1, t_symbols=4)
-    noise_var, n_trials = 1.0, 2000
+    noise_var = 1.0
     target = noise_var * dims.m_ris / (dims.k_pilots * dims.t_symbols)
-    total = 0.0
-    for trial in range(n_trials):
-        rng = _rng("predicted-mse", trial)
-        cascades, sched, obs = simulate_uplink(dims, noise_var, rng, "dft")
-        estimate = estimate_multi_user(obs, sched, psi_override=cascades[0].psi)
-        truth = cascades[0].a_bar
-        total += float(np.sum(np.abs(estimate.a_bar_hats[0] - truth) ** 2))
-    empirical = total / n_trials
+    empirical = _angle_injected_mse(dims, noise_var, "predicted-mse", 0, 2000)
     passed = abs(empirical / target - 1.0) <= 0.05
     return passed, f"empirical MSE {empirical:.5f} vs predicted {target:.5f} (tol 5%)"
 
@@ -206,23 +221,14 @@ def _criterion_am_monotone():
 def _criterion_estimator_ordering():
     """Aggregate NMSE at 10 dB: MF-AM (K=400) below LR (K=400) and LS (K=1700).
 
-    Aggregate NMSE is total error energy over total channel energy across
-    trials.  Per-trial ratios have no finite mean under the scalar fade
-    (deep fades put 1/|beta|^2 in the ratio), so sweep-level averages use
-    the energy ratio; trial seeds still match the sweep cells one for one.
+    Each estimator's 200 trials are the cells of a one-estimator sweep, read
+    through :func:`aggregate_nmse`.
     """
     dims = SystemDims(n_bs=32, m_ris=50)
-    noise_var = 0.1
-    agg = {}
-    for name, k in (("MF_AM", 400), ("LR", 400), ("LS", 1700)):
-        dims_k = dataclasses.replace(dims, k_pilots=k, q_users=1, t_symbols=1)
-        err, energy = 0.0, 0.0
-        for trial in range(200):
-            cascade, sched, obs = simulate_downlink(dims_k, noise_var, _rng(name, trial), "random")
-            h_hat = ESTIMATORS[name].estimate(obs, sched)
-            err += float(np.sum(np.abs(h_hat - cascade.h_e) ** 2))
-            energy += float(np.sum(np.abs(cascade.h_e) ** 2))
-        agg[name] = err / energy
+    agg = {
+        name: aggregate_nmse(_sweep_10db("single_user_downlink", dims, [k], name))
+        for name, k in (("MF_AM", 400), ("LR", 400), ("LS", 1700))
+    }
     passed = agg["MF_AM"] <= agg["LR"] and agg["MF_AM"] <= agg["LS"]
     return passed, (
         f"aggregate NMSE: MF_AM {agg['MF_AM']:.4e} (K=400), LR {agg['LR']:.4e} "
@@ -261,41 +267,18 @@ def _criterion_se_ordering():
 
 
 def _criterion_pilot_scaling():
-    """Multi-user NMSE strictly decreasing in K; true-angle MSE halves with K."""
+    """Aggregate NMSE of 200 uplink sweep cells per K strictly decreasing in K;
+    true-angle MSE halves with K."""
     dims = SystemDims(n_bs=32, m_ris=50, q_users=5, t_symbols=5)
     k_grid = [50, 100, 200, 400]
-    # Aggregate (energy-ratio) NMSE per K, seeds matching the sweep cells;
-    # see the ordering criterion for why per-trial ratios are not averaged.
-    aggregates = []
-    for k_index, k in enumerate(k_grid):
-        dims_k = dataclasses.replace(dims, k_pilots=k)
-        err, energy = 0.0, 0.0
-        for trial in range(200):
-            rng = np.random.default_rng(trial_seed(_MASTER, "MF", 0, k_index, trial))
-            cascades, sched, obs = simulate_uplink(dims_k, 0.1, rng, "dft")
-            estimate = estimate_multi_user(obs, sched)
-            for cascade, h_hat in zip(cascades, estimate.h_hats):
-                err += float(np.sum(np.abs(h_hat - cascade.h_e) ** 2))
-                energy += float(np.sum(np.abs(cascade.h_e) ** 2))
-        aggregates.append(err / energy)
-    decreasing = all(
-        aggregates[i + 1] < aggregates[i] for i in range(len(aggregates) - 1)
-    )
+    records = _sweep_10db("multi_user_uplink", dims, k_grid, "MF")
+    aggregates = [aggregate_nmse(r for r in records if r.k == k) for k in k_grid]
+    decreasing = all(b < a for a, b in zip(aggregates, aggregates[1:]))
 
-    noise_var = 0.1
-    mse = {}
-    for k_index, k in enumerate(k_grid):
-        dims_k = dataclasses.replace(dims, k_pilots=k)
-        total, count = 0.0, 0
-        for trial in range(200):
-            rng = np.random.default_rng(trial_seed(_MASTER, "angle-injected-mse", 0, k_index, trial))
-            cascades, sched, obs = simulate_uplink(dims_k, noise_var, rng, "dft")
-            estimate = estimate_multi_user(obs, sched, psi_override=cascades[0].psi)
-            for cascade, a_bar_hat in zip(cascades, estimate.a_bar_hats):
-                total += float(np.sum(np.abs(a_bar_hat - cascade.a_bar) ** 2))
-                count += 1
-        mse[k] = total / count
-    ratios = [mse[2 * k] / mse[k] for k in (50, 100, 200)]
+    mse = [_angle_injected_mse(dataclasses.replace(dims, k_pilots=k), 0.1,
+                               "angle-injected-mse", k_index, 200)
+           for k_index, k in enumerate(k_grid)]
+    ratios = [b / a for a, b in zip(mse, mse[1:])]  # K doubles along the grid
     halves = all(0.45 <= ratio <= 0.55 for ratio in ratios)
 
     passed = decreasing and halves

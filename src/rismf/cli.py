@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from .channel import SystemDims
-from .experiments import ExperimentSpec, overhead_table, run_sweep, write_results
+from .experiments import ExperimentSpec, aggregate_nmse, overhead_table, run_sweep, write_results
 
 _DEFAULT_DIMS = dict(n_bs=32, m_ris=50)
 _SNR_DEFAULT = [-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0]
@@ -82,11 +82,11 @@ def _print_summary(records):
     print(f"{len(records)} records ({skipped} infeasible)")
     cells = sorted({(r.estimator, r.snr_db, r.k) for r in feasible})
     for estimator, snr_db, k in cells:
-        values = [r.nmse for r in feasible
-                  if (r.estimator, r.snr_db, r.k) == (estimator, snr_db, k)]
-        # the median: per-trial NMSE has no finite mean under the scalar fade
+        cell = [r for r in feasible if (r.estimator, r.snr_db, r.k) == (estimator, snr_db, k)]
+        # no per-trial mean: it is not finite under the scalar fade
         print(f"  {estimator:6s} snr {snr_db:+6.1f} dB  K {k:5d}  "
-              f"median NMSE {np.median(values):.4e}  ({len(values)} trials)")
+              f"aggregate NMSE {aggregate_nmse(cell):.4e}  "
+              f"median NMSE {np.median([r.nmse for r in cell]):.4e}  ({len(cell)} trials)")
 
 
 def _cmd_sweep(args, scenario: str) -> int:

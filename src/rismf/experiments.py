@@ -33,6 +33,7 @@ __all__ = [
     "ResultRecord",
     "CSV_HEADER",
     "nmse",
+    "aggregate_nmse",
     "spectral_efficiency",
     "overhead_table",
     "simulate_downlink",
@@ -256,7 +257,9 @@ class ExperimentSpec:
 class ResultRecord:
     """One sweep cell. ``nmse`` is None exactly when the cell is infeasible
     (too few pilots for the estimator); ``se`` is None when no rate metric
-    applies."""
+    applies. The energies sum ``||h_hat - h||^2`` and ``||h||^2`` over the
+    cell's users; they are None when infeasible, are not written to CSV and
+    take no part in equality."""
 
     scenario: str
     estimator: str
@@ -266,8 +269,16 @@ class ResultRecord:
     seed: int
     nmse: float | None
     se: float | None
+    error_energy: float | None = dataclasses.field(default=None, compare=False)
+    reference_energy: float | None = dataclasses.field(default=None, compare=False)
 
     def validate(self):
+        for name in ("scenario", "estimator"):
+            value = getattr(self, name)
+            if not isinstance(value, str) or any(c in value for c in ",\n\r"):
+                raise ValueError(
+                    f"{name} is {value!r}; records must carry a string without ',' or line breaks"
+                )
         if not isinstance(self.snr_db, numbers.Real) or not math.isfinite(self.snr_db):
             raise ValueError(f"snr_db is {self.snr_db!r}; records must carry a finite number")
         for name in ("k", "trial", "seed"):
@@ -277,7 +288,7 @@ class ResultRecord:
         for name in ("k", "trial"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
-        for name in ("nmse", "se"):
+        for name in ("nmse", "se", "error_energy", "reference_energy"):
             value = getattr(self, name)
             if value is None:
                 continue
@@ -285,6 +296,24 @@ class ResultRecord:
                 raise ValueError(f"{name} is {value!r}; records must be finite numbers")
         if self.nmse is not None and self.nmse < 0.0:
             raise ValueError("nmse must be nonnegative")
+        if (self.error_energy is None) != (self.reference_energy is None):
+            raise ValueError("error_energy and reference_energy must be both set or both None")
+        if self.error_energy is not None \
+                and (self.error_energy < 0.0 or self.reference_energy <= 0.0):
+            raise ValueError("error_energy must be nonnegative and reference_energy positive")
+
+
+def aggregate_nmse(records) -> float:
+    """Summed error energy over summed reference energy of ``records``.
+
+    Per-trial NMSE has no finite mean under the scalar fade (deep fades put
+    1/|beta|^2 in it), so sweep-level averages use this ratio. No records,
+    or one without energies (infeasible, or read from CSV), is a ValueError.
+    """
+    records = list(records)
+    if not records or any(r.error_energy is None for r in records):
+        raise ValueError("aggregate NMSE needs records that all carry their energies")
+    return sum(r.error_energy for r in records) / sum(r.reference_energy for r in records)
 
 
 def trial_seed(master_seed: int, estimator: str, snr_index: int, k_index: int, trial: int) -> int:
@@ -297,6 +326,15 @@ def trial_seed(master_seed: int, estimator: str, snr_index: int, k_index: int, t
     key = f"{master_seed}:{estimator}:{snr_index}:{k_index}:{trial}"
     digest = hashlib.sha256(key.encode("ascii")).digest()
     return int.from_bytes(digest[:8], "little")
+
+
+def _energies(truths, estimates) -> tuple[float, float]:
+    """Summed ``||h_hat - h||^2`` and ``||h||^2`` over a cell's users."""
+    error, reference = 0.0, 0.0
+    for h, h_hat in zip(truths, estimates):
+        error += float(np.sum(np.abs(h_hat - h) ** 2))
+        reference += float(np.sum(np.abs(h) ** 2))
+    return error, reference
 
 
 def _single_user_cell(spec, estimator, snr_db, k, trial, snr_index, k_index):
@@ -318,7 +356,7 @@ def _single_user_cell(spec, estimator, snr_db, k, trial, snr_index, k_index):
         se = spectral_efficiency(cascade.h_e, h_hat, noise_var, mode="estimated")
     return ResultRecord(
         spec.scenario, estimator, snr_db, k, trial, seed,
-        nmse(cascade.h_e, h_hat), se,
+        nmse(cascade.h_e, h_hat), se, *_energies([cascade.h_e], [h_hat]),
     )
 
 
@@ -333,11 +371,12 @@ def _multi_user_cell(spec, estimator, snr_db, k, trial, snr_index, k_index):
     noise_var = 10.0 ** (-snr_db / 10.0)
     rng = np.random.default_rng(seed)
     cascades, sched, obs = simulate_uplink(dims, noise_var, rng, spec.schedule_kind)
+    truths = [cascade.h_e for cascade in cascades]
     h_hats = UPLINK_MF.estimate(obs, sched)
-    per_user = [nmse(cascade.h_e, h_hat) for cascade, h_hat in zip(cascades, h_hats)]
+    per_user = [nmse(h, h_hat) for h, h_hat in zip(truths, h_hats)]
     return ResultRecord(
         spec.scenario, estimator, snr_db, k, trial, seed,
-        float(np.mean(per_user)), None,
+        float(np.mean(per_user)), None, *_energies(truths, h_hats),
     )
 
 
@@ -346,8 +385,11 @@ def run_sweep(spec: ExperimentSpec, n_threads: int = 1) -> list[ResultRecord]:
 
     Cells are independent (each derives its own rng from the mixed trial
     seed), so ``n_threads`` only affects wall time; the returned order is
-    always estimator-major, then SNR, then k, then trial.
+    always estimator-major, then SNR, then k, then trial. ``n_threads``
+    must be a positive integer.
     """
+    if not _is_count(n_threads):
+        raise ValueError(f"n_threads must be a positive integer, got {n_threads!r}")
     cell = _single_user_cell if spec.scenario == "single_user_downlink" else _multi_user_cell
     jobs = [
         (spec, estimator, snr_db, k, trial, snr_index, k_index)
@@ -357,7 +399,7 @@ def run_sweep(spec: ExperimentSpec, n_threads: int = 1) -> list[ResultRecord]:
         for trial in range(spec.n_trials)
     ]
 
-    if n_threads <= 1:
+    if n_threads == 1:
         records = [cell(*args) for args in jobs]
     else:
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
@@ -420,8 +462,8 @@ def write_results(records, path, format: str = "csv", spec: ExperimentSpec | Non
 def read_records(path, format: str = "csv") -> list[ResultRecord]:
     """Parse a results file written by :func:`write_results`.
 
-    A malformed row or a record that fails :meth:`ResultRecord.validate`
-    raises ``ValueError``.
+    Records read from CSV carry no energies. A malformed row or a record
+    that fails :meth:`ResultRecord.validate` raises ``ValueError``.
     """
     path = str(path)
     records = []
@@ -446,9 +488,11 @@ def read_records(path, format: str = "csv") -> list[ResultRecord]:
                 ))
     elif format == "json":
         fields = [f.name for f in dataclasses.fields(ResultRecord)]
+        columns = set(CSV_HEADER.split(","))
         with open(path, encoding="ascii") as fh:
             for raw in json.load(fh):
-                if not isinstance(raw, dict) or raw.keys() != set(fields):
+                # files written before the energies existed hold the CSV columns only
+                if not isinstance(raw, dict) or raw.keys() not in (set(fields), columns):
                     raise ValueError(f"unexpected JSON record {raw!r}; keys must be {fields}")
                 records.append(ResultRecord(**raw))
     else:

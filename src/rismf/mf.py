@@ -7,7 +7,8 @@ training data poses a structured rank-one recovery problem
     J(a_bar, psi) = sum_k | theta_k^T a_bar a_b(psi)^H x_k - r_k |^2.
 
 Two solvers are provided: safeguarded alternating minimization (exact LS in
-``a_bar`` alternated with an exact global 1-D search in ``psi``) and plain
+``a_bar`` alternated with a 1-D search in ``psi`` that is global unless two
+maxima lie closer than about 1.5 grid spacings; see ROADMAP item 2) and plain
 gradient descent on (Re a_bar, Im a_bar, psi). Both start from a spectral
 initialization.
 """
@@ -199,7 +200,9 @@ def maximize_over_manifold(coef: np.ndarray) -> float:
     polished by Newton steps on the closed-form derivatives, each clipped to
     one grid spacing and kept only if it raises the score, and the best
     polished point wins (the root-MUSIC / Newtonized-OMP idea: Barabell,
-    ICASSP 1983; Mamandipoor, Ramasamy and Madhow, IEEE TSP 2016).
+    ICASSP 1983; Mamandipoor, Ramasamy and Madhow, IEEE TSP 2016). Two
+    maxima closer than about 1.5 grid spacings show as one grid peak, so
+    the lower one can be returned (ROADMAP item 2).
 
     Only the peaks that could still beat the grid maximum are polished:
     those with ``grid >= max(grid) - s^2 C / 2``, where
@@ -289,16 +292,18 @@ def am_iterate(
     """One alternating-minimization sweep from ``(a_bar, psi)``, whose
     objective is ``value``; returns the new ``(a_bar, psi, value)``.
 
-    First the angle update: the global minimizer of
+    First the angle update: the minimizer of
     ``sum_k |theta_k^T a_bar x_k^T conj(a_b(psi)) - r_k|^2`` at the current
     ``a_bar``, i.e. :func:`maximize_over_manifold` of the score
     ``Re(a_b^H G a_b) + 2 Re(a_b^H w)`` with ``G = -Y Y^H``, ``w = Y conj(r)``
     and column k of Y equal to ``(theta_k^T a_bar) x_k``. The score's
     coefficients come from the schedule's pilot autocorrelation
     (:func:`_angle_coefficients`), so the angle step costs O(k n_bs) per
-    sweep plus one 8 n_bs-point FFT. The candidate is accepted only if the
-    directly evaluated objective does not increase, which guards against
-    rounding in the polynomial form. Then the exact LS update of ``a_bar`` at
+    sweep plus one 8 n_bs-point FFT. The search is global except when two
+    maxima lie closer than about 1.5 grid spacings, where the grid shows one
+    peak and the lower twin can win (ROADMAP item 2). The candidate is
+    accepted only if the directly evaluated objective does not increase,
+    which guards against rounding in the polynomial form. Then the exact LS update of ``a_bar`` at
     the accepted angle, which can only decrease the objective further, so
     the sweep is monotone by construction.
     """

@@ -2,10 +2,10 @@
 
 One test per registered criterion, so ``pytest -v`` prints one line per
 criterion; each test also echoes the PASS/FAIL detail line that the CLI
-``verify`` subcommand would print. The full set takes five to ten minutes
-on a 2-core 2.0 GHz Xeon VM whose speed drifts (323 s and 560 s in two
-runs), dominated by se-ordering (156 s / 298 s) and estimator-ordering
-(143 s / 214 s).
+``verify`` subcommand would print. On an idle 2-core Xeon VM (BLAS thread
+variables unset) the whole test suite took 177 s and 185 s in two runs,
+of which estimator-ordering took 81 s and 89 s, se-ordering 55 s and 59 s
+and pilot-scaling 12 s; the VM's speed drifts by 20 % or more between runs.
 """
 
 import itertools

@@ -62,6 +62,22 @@ class TestSweepCommands:
         assert code == 0
         assert read_records(out, format="json")
 
+    def test_summary_prints_aggregate_nmse(self, tmp_path, capsys):
+        config = write_config(tmp_path / "spec.json", estimators=["MF_AM", "LR"],
+                              snr_grid_db=[0.0, 10.0], n_trials=3)
+        out = tmp_path / "results.json"
+        assert main(["single-user", "--config", config, "--out", str(out),
+                     "--format", "json"]) == 0
+        stdout = capsys.readouterr().out
+        raw = json.loads(out.read_text())
+        for estimator in ("MF_AM", "LR"):
+            for snr_db in (0.0, 10.0):
+                cell = [r for r in raw if (r["estimator"], r["snr_db"]) == (estimator, snr_db)]
+                agg = (sum(r["error_energy"] for r in cell)
+                       / sum(r["reference_energy"] for r in cell))
+                assert (f"{estimator:6s} snr {snr_db:+6.1f} dB  K    12  "
+                        f"aggregate NMSE {agg:.4e}  ") in stdout
+
     def test_seed_and_trial_overrides(self, tmp_path):
         config = write_config(tmp_path / "spec.json")
         out = tmp_path / "results.csv"
@@ -118,11 +134,16 @@ class TestSweepCommands:
         dict(master_seed="7"),
         dict(master_seed=True),
         dict(dims=dict(n_bs=True, m_ris=6)),
+        dict(threads=0),
+        dict(threads=-3),
     ])
     def test_malformed_spec_exits_1(self, tmp_path, capsys, overrides):
+        overrides = dict(overrides)
+        threads = str(overrides.pop("threads", 1))
         config = write_config(tmp_path / "spec.json", **overrides)
         out = tmp_path / "results.csv"
-        assert main(["single-user", "--config", config, "--out", str(out)]) == 1
+        assert main(["single-user", "--config", config, "--out", str(out),
+                     "--threads", threads]) == 1
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
 

@@ -6,13 +6,16 @@ import pytest
 
 from rismf import (
     CSV_HEADER,
+    ESTIMATORS,
     ExperimentSpec,
     ResultRecord,
     SystemDims,
+    aggregate_nmse,
     array_response,
     cascaded_downlink,
     cascaded_uplink,
     downlink_observe,
+    estimate_multi_user,
     make_pilot_schedule,
     make_uplink_schedule,
     nmse,
@@ -285,6 +288,11 @@ class TestRunSweep:
         threaded = run_sweep(spec, n_threads=3)
         assert first == second == threaded
 
+    @pytest.mark.parametrize("n_threads", [0, -3, True, 1.5, "2"])
+    def test_bad_thread_count_rejected(self, n_threads):
+        with pytest.raises(ValueError, match="n_threads"):
+            run_sweep(tiny_spec(), n_threads=n_threads)
+
     def test_cell_count_and_order(self):
         spec = tiny_spec()
         records = run_sweep(spec)
@@ -364,7 +372,25 @@ class TestPersistence:
         records = run_sweep(tiny_spec())
         out = tmp_path / "sweep.json"
         write_results(records, out, format="json")
-        assert read_records(out, format="json") == records
+        back = read_records(out, format="json")
+        assert back == records
+        energies = [(r.error_energy, r.reference_energy) for r in records]
+        assert [(r.error_energy, r.reference_energy) for r in back] == energies
+
+    def test_json_without_energies_reads(self, tmp_path):
+        # the layout of files written before records carried energies
+        raw = dataclasses.asdict(ResultRecord("single_user_downlink", "LS", 0.0, 3, 0, 17, 0.5, None))
+        del raw["error_energy"], raw["reference_energy"]
+        out = tmp_path / "old.json"
+        out.write_text(json.dumps([raw]))
+        (record,) = read_records(out, format="json")
+        assert record.nmse == 0.5 and record.error_energy is None and record.reference_energy is None
+
+    @pytest.mark.parametrize("estimator", ["a,b", "a\nb", "a\rb", 5])
+    def test_unwritable_label_rejected(self, tmp_path, estimator):
+        record = ResultRecord("single_user_downlink", estimator, 0.0, 3, 0, 17, 0.5, None)
+        with pytest.raises(ValueError, match="estimator"):
+            write_results([record], tmp_path / "bad.csv")
 
     def test_empty_records_write_header_only(self, tmp_path):
         out = tmp_path / "empty.csv"
@@ -430,9 +456,14 @@ class TestPersistence:
     @pytest.mark.parametrize("name,value", [
         ("snr_db", "high"), ("snr_db", float("nan")), ("k", "x"), ("k", 3.0), ("k", True),
         ("k", -3), ("trial", -1), ("trial", None), ("seed", "17"),
+        ("scenario", 5), ("scenario", "a\nb"), ("estimator", "a,b"), ("estimator", "a\rb"),
+        ("estimator", 5), ("error_energy", float("nan")), ("error_energy", -0.5),
+        ("error_energy", "0.5"), ("error_energy", None), ("reference_energy", 0.0),
+        ("reference_energy", float("inf")), ("reference_energy", None),
     ])
     def test_invalid_json_field_rejected(self, tmp_path, name, value):
-        raw = dataclasses.asdict(ResultRecord("single_user_downlink", "LS", 0.0, 3, 0, 17, 0.5, None))
+        raw = dataclasses.asdict(ResultRecord("single_user_downlink", "LS", 0.0, 3, 0, 17, 0.5, None,
+                                              0.25, 0.5))
         raw[name] = value
         out = tmp_path / "bad.json"
         out.write_text(json.dumps([raw]))
@@ -465,3 +496,58 @@ class TestResultRecord:
         record = ResultRecord("single_user_downlink", "LS", 0.0, 3, 0, 17, -1.0, None)
         with pytest.raises(ValueError):
             record.validate()
+
+
+def _hand_energies(truths, estimates):
+    error = sum(float(np.sum(np.abs(h_hat - h) ** 2)) for h, h_hat in zip(truths, estimates))
+    reference = sum(float(np.sum(np.abs(h) ** 2)) for h in truths)
+    return error, reference
+
+
+class TestCellEnergies:
+    """Sweep records carry the energies a hand loop over the simulators gives,
+    seeded by ``trial_seed``: the reference for every aggregate NMSE."""
+
+    def test_downlink_matches_hand_loop(self):
+        spec = tiny_spec(estimators=tuple(ESTIMATORS), k_grid=[6, 24], snr_grid_db=[0.0, 20.0])
+        records = run_sweep(spec)
+        assert any(r.nmse is None for r in records)  # LS and LR below their floors
+        hand = []
+        for r in records:
+            snr_index, k_index = spec.snr_grid_db.index(r.snr_db), spec.k_grid.index(r.k)
+            seed = trial_seed(spec.master_seed, r.estimator, snr_index, k_index, r.trial)
+            entry = ESTIMATORS[r.estimator]
+            if r.k < entry.min_pilots(4, 6):
+                assert r.nmse is None and (r.error_energy, r.reference_energy) == (None, None)
+                continue
+            dims = SystemDims(n_bs=4, m_ris=6, k_pilots=r.k)
+            cascade, sched, obs = simulate_downlink(
+                dims, 10.0 ** (-r.snr_db / 10.0), np.random.default_rng(seed), "random")
+            hand.append(_hand_energies([cascade.h_e], [entry.estimate(obs, sched)]))
+            assert (r.error_energy, r.reference_energy) == hand[-1]
+        feasible = [r for r in records if r.nmse is not None]
+        assert aggregate_nmse(feasible) == sum(e for e, _ in hand) / sum(h for _, h in hand)
+
+    def test_uplink_matches_hand_loop(self):
+        dims = SystemDims(n_bs=4, m_ris=6, q_users=2, t_symbols=2)
+        spec = tiny_spec(scenario="multi_user_uplink", dims=dims, estimators=(),
+                         snr_grid_db=[10.0], k_grid=[6, 12], n_trials=3)
+        records = run_sweep(spec)
+        for r in records:
+            seed = trial_seed(spec.master_seed, "MF", 0, spec.k_grid.index(r.k), r.trial)
+            cascades, sched, obs = simulate_uplink(
+                dataclasses.replace(dims, k_pilots=r.k), 0.1, np.random.default_rng(seed), "dft")
+            h_hats = estimate_multi_user(obs, sched).h_hats
+            truths = [cascade.h_e for cascade in cascades]
+            assert (r.error_energy, r.reference_energy) == _hand_energies(truths, h_hats)
+
+    def test_aggregate_needs_energies(self, tmp_path):
+        spec = tiny_spec(estimators=("MF_AM",), k_grid=[12])
+        out = tmp_path / "sweep.csv"
+        write_results(run_sweep(spec), out)
+        with pytest.raises(ValueError, match="energies"):
+            aggregate_nmse(read_records(out))
+        with pytest.raises(ValueError, match="energies"):
+            aggregate_nmse(run_sweep(tiny_spec(estimators=("LS",), k_grid=[6])))
+        with pytest.raises(ValueError):
+            aggregate_nmse([])
