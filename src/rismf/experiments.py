@@ -1,4 +1,8 @@
-"""Metrics, Monte Carlo sweep runner, and result persistence."""
+"""Metrics, Monte Carlo sweep runner, and result persistence.
+
+Each scenario trains with its link's one phase design: random phases for
+the single-user downlink, the DFT schedule for the multi-user uplink.
+"""
 
 from __future__ import annotations
 
@@ -18,7 +22,6 @@ from .baselines import lr_rankone, ls_full
 from .channel import (
     SystemDims,
     _is_count,
-    array_response,
     cascaded_downlink,
     cascaded_uplink,
     sample_channel,
@@ -102,40 +105,24 @@ def _rank_one_design(h_e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return theta, x
 
 
-def spectral_efficiency(
-    h_e_true: np.ndarray,
-    h_e_hat: np.ndarray | None,
-    noise_var: float,
-    mode: str = "estimated",
-    rng: np.random.Generator | None = None,
-) -> float:
-    """Downlink rate of a rank-one beamforming design, evaluated on the true channel.
+def _rate(h_e: np.ndarray, theta: np.ndarray, x: np.ndarray, noise_var: float) -> float:
+    """``log2(1 + |theta^T h_e x|^2 / noise_var)`` of the design (theta, x)."""
+    gain = np.abs(theta @ h_e @ x) ** 2
+    return float(np.log2(1.0 + gain / noise_var))
 
-    ``estimated`` derives the RIS phases (``exp(-j arg)`` of the left factor)
-    and the matched BS beamformer from ``h_e_hat``; ``optimal`` derives them
-    from ``h_e_true`` (for rank-one channels this maximizes the received
-    power exactly); ``random`` draws uniform phases and a steering vector at
-    a uniform angle, and needs ``rng``. Returns
+
+def spectral_efficiency(h_e_true: np.ndarray, h_e_hat: np.ndarray, noise_var: float) -> float:
+    """Downlink rate of the rank-one design derived from ``h_e_hat``, on the true channel.
+
+    The RIS phases are ``exp(-j arg)`` of the left singular vector of
+    ``h_e_hat`` and the BS beamformer is its matched right vector. With
+    ``h_e_hat = h_e_true`` this is the optimal rate: for rank-one channels
+    the design then maximizes the received power exactly. Returns
     ``log2(1 + |theta^T h_e_true x|^2 / noise_var)``.
     """
     if noise_var <= 0.0:
         raise ValueError("spectral efficiency needs a positive noise variance")
-    m_ris, n_bs = h_e_true.shape
-    if mode == "estimated":
-        if h_e_hat is None:
-            raise ValueError("estimated mode needs a channel estimate")
-        theta, x = _rank_one_design(h_e_hat)
-    elif mode == "optimal":
-        theta, x = _rank_one_design(h_e_true)
-    elif mode == "random":
-        if rng is None:
-            raise ValueError("random mode needs an rng")
-        theta = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=m_ris))
-        x = array_response(n_bs, rng.uniform())
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    gain = np.abs(theta @ h_e_true @ x) ** 2
-    return float(np.log2(1.0 + gain / noise_var))
+    return _rate(h_e_true, *_rank_one_design(h_e_hat), noise_var)
 
 
 def overhead_table(dims: SystemDims) -> dict[str, int]:
@@ -149,33 +136,29 @@ def overhead_table(dims: SystemDims) -> dict[str, int]:
     return table
 
 
-def simulate_downlink(
-    dims: SystemDims, noise_var: float, rng: np.random.Generator, phase_design: str
-):
+def simulate_downlink(dims: SystemDims, noise_var: float, rng: np.random.Generator):
     """Synthesize one single-user downlink training block.
 
-    Draws a single-path channel, then the pilot schedule, then the noise,
-    all from ``rng`` in that order, so a seed fixes every bit of the cell.
-    Returns ``(cascade, sched, obs)``; the cascade is the truth.
+    Draws a single-path channel, then the random pilot schedule, then the
+    noise, all from ``rng`` in that order, so a seed fixes every bit of the
+    cell. Returns ``(cascade, sched, obs)``; the cascade is the truth.
     """
     chan = sample_channel(dims, rng)
-    sched = make_pilot_schedule(dims, rng, phase_design=phase_design)
+    sched = make_pilot_schedule(dims, rng)
     cascade = cascaded_downlink(chan.h_r, chan.g_matrix, psi=chan.psi)
     return cascade, sched, downlink_observe(cascade, sched, noise_var, rng)
 
 
-def simulate_uplink(
-    dims: SystemDims, noise_var: float, rng: np.random.Generator, phase_design: str
-):
-    """Synthesize one multi-user uplink training block, drawing in the same
-    order as :func:`simulate_downlink`.
+def simulate_uplink(dims: SystemDims, noise_var: float, rng: np.random.Generator):
+    """Synthesize one multi-user uplink training block on the DFT schedule.
 
-    Returns ``(cascades, sched, obs)``; ``cascades[q]`` is user q's truth,
-    ``cascaded_uplink(g_up, h_users[q], psi)``. Building it draws nothing.
+    Draws the channel, then the noise, from ``rng``; the schedule and the
+    truths draw nothing. Returns ``(cascades, sched, obs)``; ``cascades[q]``
+    is user q's truth, ``cascaded_uplink(g_up, h_users[q], psi)``.
     """
     chan = sample_channel(dims, rng)
     g_up = chan.g_uplink()
-    sched = make_uplink_schedule(dims, rng, phase_design=phase_design)
+    sched = make_uplink_schedule(dims)
     obs = uplink_observe(g_up, chan.h_users, sched, noise_var, rng)
     cascades = [cascaded_uplink(g_up, h_q, psi=chan.psi) for h_q in chan.h_users]
     return cascades, sched, obs
@@ -185,9 +168,9 @@ def simulate_uplink(
 class ExperimentSpec:
     """Declarative description of one Monte Carlo sweep.
 
-    ``estimators`` left as None or empty resolves to every estimator of the
-    scenario, in registry order: the downlink :data:`ESTIMATORS`, or the
-    uplink two-stage method ``("MF",)``.
+    ``estimators`` is a list of distinct names; left as None or empty it
+    resolves to every estimator of the scenario, in registry order: the
+    downlink :data:`ESTIMATORS`, or the uplink two-stage method ``("MF",)``.
     """
 
     scenario: str
@@ -197,7 +180,6 @@ class ExperimentSpec:
     estimators: tuple[str, ...] | None = None
     n_trials: int = 200
     master_seed: int = 0
-    schedule_kind: str | None = None
 
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
@@ -228,14 +210,14 @@ class ExperimentSpec:
             if not _is_count(k):
                 raise ValueError(f"k_grid holds {k!r}; pilot counts must be positive integers")
         registry = SCENARIOS[self.scenario]
+        if self.estimators is not None and not isinstance(self.estimators, (list, tuple)):
+            raise ValueError(f"estimators must be a list of names, got {self.estimators!r}")
         self.estimators = tuple(self.estimators or registry)
         unknown = set(self.estimators) - set(registry)
         if unknown:
             raise ValueError(f"unknown estimators for {self.scenario}: {sorted(unknown)}")
-        if self.schedule_kind is None:
-            self.schedule_kind = "dft" if self.scenario == "multi_user_uplink" else "random"
-        if self.schedule_kind not in ("random", "dft"):
-            raise ValueError(f"unknown schedule_kind {self.schedule_kind!r}")
+        if len(set(self.estimators)) < len(self.estimators):
+            raise ValueError(f"estimators repeats a name: {list(self.estimators)}")
         self.snr_grid_db = [float(s) for s in self.snr_grid_db]
         self.k_grid = [int(k) for k in self.k_grid]
         self.master_seed = int(self.master_seed)
@@ -348,12 +330,12 @@ def _single_user_cell(spec, estimator, snr_db, k, trial, snr_index, k_index):
     dims = dataclasses.replace(spec.dims, k_pilots=k, q_users=1, t_symbols=1)
     noise_var = 10.0 ** (-snr_db / 10.0)
     rng = np.random.default_rng(seed)
-    cascade, sched, obs = simulate_downlink(dims, noise_var, rng, spec.schedule_kind)
+    cascade, sched, obs = simulate_downlink(dims, noise_var, rng)
     h_hat = entry.estimate(obs, sched)
 
     se = None
     if noise_var > 0.0:
-        se = spectral_efficiency(cascade.h_e, h_hat, noise_var, mode="estimated")
+        se = spectral_efficiency(cascade.h_e, h_hat, noise_var)
     return ResultRecord(
         spec.scenario, estimator, snr_db, k, trial, seed,
         nmse(cascade.h_e, h_hat), se, *_energies([cascade.h_e], [h_hat]),
@@ -370,7 +352,7 @@ def _multi_user_cell(spec, estimator, snr_db, k, trial, snr_index, k_index):
     dims = dataclasses.replace(spec.dims, k_pilots=k)
     noise_var = 10.0 ** (-snr_db / 10.0)
     rng = np.random.default_rng(seed)
-    cascades, sched, obs = simulate_uplink(dims, noise_var, rng, spec.schedule_kind)
+    cascades, sched, obs = simulate_uplink(dims, noise_var, rng)
     truths = [cascade.h_e for cascade in cascades]
     h_hats = UPLINK_MF.estimate(obs, sched)
     per_user = [nmse(h, h_hat) for h, h_hat in zip(truths, h_hats)]

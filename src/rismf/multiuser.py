@@ -3,17 +3,20 @@
 After despreading, user q's data is ``S_q = a_b(psi) a_bar_q^H theta^T + N_q``
 for the (k, m) phase schedule theta, with a common BS-side angle and per-user
 RIS-side factors, so estimation splits into one 1-D search shared by all
-users followed by Q independent linear solves.
+users followed by Q independent linear solves. Any full-rank schedule
+works; :func:`~rismf.signals.make_uplink_schedule` builds the DFT schedule,
+which attains the floor of :func:`predicted_mse`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .channel import array_response
+from .channel import _is_count, array_response
 from .mf import _cholesky, manifold_coefficients, maximize_over_manifold
 from .signals import ObservationSet, UplinkSchedule, despread
 
@@ -91,30 +94,28 @@ def predicted_mse(noise_var: float, t_symbols: int, phases: np.ndarray) -> float
     norm. Minimized exactly when ``theta^H theta = K I`` (e.g. the DFT
     schedule), where the value is ``noise_var m_ris / (K T)``. The trace is
     the squared Frobenius norm of the inverse Cholesky factor, which LAPACK
-    ``trtri`` inverts in place of a solve against the identity.
+    ``trtri`` inverts in place of a solve against the identity. A
+    ``t_symbols`` that is not a positive integer, or a negative or
+    non-finite ``noise_var``, is a ``ValueError``.
     """
+    if not _is_count(t_symbols):
+        raise ValueError(f"t_symbols must be a positive integer, got {t_symbols!r}")
+    if not (math.isfinite(noise_var) and noise_var >= 0.0):
+        raise ValueError(f"noise_var must be finite and nonnegative, got {noise_var}")
     triangle, lower = _phase_gram_factor(phases)
     # cho_factor leaves Gram entries in the factor's unused triangle
     inverse, _ = _TRTRI(np.tril(triangle) if lower else np.triu(triangle), lower=lower)
     return float(noise_var / t_symbols * np.sum(np.abs(inverse) ** 2))
 
 
-def estimate_multi_user(
-    obs: ObservationSet,
-    sched: UplinkSchedule,
-    psi_override: float | None = None,
-) -> MultiUserEstimate:
+def estimate_multi_user(obs: ObservationSet, sched: UplinkSchedule) -> MultiUserEstimate:
     """Despread every user, estimate the shared angle, then solve per user.
 
-    ``psi_override`` injects a known angle (skipping stage 1), used to study
-    the stage-2 error floor in isolation.
+    The stage-2 floor at a known angle is ``estimate_a_q(despread(obs, sched),
+    sched.phases, psi)``, which :func:`predicted_mse` predicts.
     """
     despread_all = despread(obs, sched)
-    if psi_override is not None:
-        psi_hat = float(psi_override)
-    else:
-        psi_hat = estimate_psi_uplink(despread_all)
-
+    psi_hat = estimate_psi_uplink(despread_all)
     a_bar_hats = estimate_a_q(despread_all, sched.phases, psi_hat)
     a_b = array_response(obs.values.shape[1], psi_hat)
     h_hats = a_b[None, :, None] * a_bar_hats.conj()[:, None, :]

@@ -1,4 +1,11 @@
-"""Training schedules and the downlink/uplink observation models."""
+"""Training schedules and the downlink/uplink observation models.
+
+Each link has one phase design: the downlink trains with random RIS phases
+(:func:`make_pilot_schedule`), the uplink with the MSE-optimal DFT schedule
+(:func:`make_uplink_schedule`). Another design is built by hand from
+:func:`random_phase_schedule` or :func:`dft_phase_schedule`, e.g. a DFT
+downlink schedule as ``PilotSchedule(pilots, dft_phase_schedule(m, k))``.
+"""
 
 from __future__ import annotations
 
@@ -163,37 +170,16 @@ def orthogonal_user_pilots(q_users: int, t_symbols: int) -> np.ndarray:
     return np.exp(-2j * np.pi * grid / t_symbols)
 
 
-def _phase_schedule(
-    dims: SystemDims, rng: np.random.Generator | None, phase_design: str
-) -> np.ndarray:
-    """The (k, m_ris) RIS phases of either link: ``"dft"`` or ``"random"``."""
-    if phase_design == "dft":
-        return dft_phase_schedule(dims.m_ris, dims.k_pilots)
-    if phase_design != "random":
-        raise ValueError(f"unknown phase_design {phase_design!r}")
-    if rng is None:
-        raise ValueError("random phase design needs an rng")
-    return random_phase_schedule(dims.m_ris, dims.k_pilots, rng)
-
-
-def make_pilot_schedule(
-    dims: SystemDims,
-    rng: np.random.Generator,
-    phase_design: str = "random",
-) -> PilotSchedule:
-    """Random unit-norm pilots plus a random or DFT RIS phase schedule."""
+def make_pilot_schedule(dims: SystemDims, rng: np.random.Generator) -> PilotSchedule:
+    """Random unit-norm pilots, then random RIS phases, both drawn from ``rng``."""
     pilots = random_pilots(dims.n_bs, dims.k_pilots, rng)
-    return PilotSchedule(pilots=pilots, phases=_phase_schedule(dims, rng, phase_design))
+    return PilotSchedule(pilots, random_phase_schedule(dims.m_ris, dims.k_pilots, rng))
 
 
-def make_uplink_schedule(
-    dims: SystemDims,
-    rng: np.random.Generator | None = None,
-    phase_design: str = "dft",
-) -> UplinkSchedule:
-    """Uplink schedule: DFT or random RIS phases and one orthogonal pilot block."""
+def make_uplink_schedule(dims: SystemDims) -> UplinkSchedule:
+    """The MSE-optimal DFT RIS phases and one orthogonal pilot block; draws nothing."""
     return UplinkSchedule(
-        phases=_phase_schedule(dims, rng, phase_design),
+        phases=dft_phase_schedule(dims.m_ris, dims.k_pilots),
         user_pilots=orthogonal_user_pilots(dims.q_users, dims.t_symbols),
     )
 

@@ -136,6 +136,9 @@ class TestSweepCommands:
         dict(dims=dict(n_bs=True, m_ris=6)),
         dict(threads=0),
         dict(threads=-3),
+        dict(estimators="MF_AM"),
+        dict(estimators=["MF_AM", "MF_AM"]),
+        dict(schedule_kind="random"),
     ])
     def test_malformed_spec_exits_1(self, tmp_path, capsys, overrides):
         overrides = dict(overrides)

@@ -14,12 +14,15 @@ from rismf import (
     array_response,
     cascaded_downlink,
     cascaded_uplink,
+    dft_phase_schedule,
     downlink_observe,
     estimate_multi_user,
     make_pilot_schedule,
     make_uplink_schedule,
     nmse,
     overhead_table,
+    random_phase_schedule,
+    random_pilots,
     read_records,
     run_sweep,
     sample_channel,
@@ -30,6 +33,7 @@ from rismf import (
     uplink_observe,
     write_results,
 )
+from rismf.experiments import _rate
 
 
 class TestNmse:
@@ -64,12 +68,13 @@ class TestSpectralEfficiency:
     def test_scalar_closed_form(self):
         h = np.array([[0.8 - 0.6j]])
         expected = np.log2(1.0 + 1.0 / 0.5)
-        assert spectral_efficiency(h, None, 0.5, mode="optimal") == pytest.approx(expected)
+        assert spectral_efficiency(h, h, 0.5) == pytest.approx(expected)
 
     def test_perfect_estimate_matches_optimal(self):
+        # the design ignores the estimate's scale and global phase
         h, _ = self._rank_one(411)
-        opt = spectral_efficiency(h, None, 0.25, mode="optimal")
-        est = spectral_efficiency(h, h.copy(), 0.25, mode="estimated")
+        opt = spectral_efficiency(h, h, 0.25)
+        est = spectral_efficiency(h, (0.3 - 2j) * h, 0.25)
         assert est == pytest.approx(opt)
 
     def test_optimal_design_coherent_gain(self):
@@ -77,27 +82,23 @@ class TestSpectralEfficiency:
         h, a_bar = self._rank_one(412)
         gain = np.sum(np.abs(a_bar)) ** 2
         expected = np.log2(1.0 + gain / 2.0)
-        assert spectral_efficiency(h, None, 2.0, mode="optimal") == pytest.approx(expected)
+        assert spectral_efficiency(h, h, 2.0) == pytest.approx(expected)
 
     def test_optimal_upper_bounds_other_designs(self):
         rng = np.random.default_rng(413)
         h, _ = self._rank_one(414)
-        opt = spectral_efficiency(h, None, 1.0, mode="optimal")
+        opt = spectral_efficiency(h, h, 1.0)
         for seed in range(20):
             bad = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
-            assert spectral_efficiency(h, bad, 1.0, mode="estimated") <= opt + 1e-12
-            assert spectral_efficiency(h, None, 1.0, mode="random", rng=rng) <= opt + 1e-12
+            assert spectral_efficiency(h, bad, 1.0) <= opt + 1e-12
+            theta = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=6))
+            assert _rate(h, theta, array_response(4, rng.uniform()), 1.0) <= opt + 1e-12
 
-    def test_mode_errors(self):
+    @pytest.mark.parametrize("noise_var", [0.0, -1.0])
+    def test_rejects_nonpositive_noise_var(self, noise_var):
         h, _ = self._rank_one(415)
-        with pytest.raises(ValueError):
-            spectral_efficiency(h, None, 1.0, mode="estimated")
-        with pytest.raises(ValueError):
-            spectral_efficiency(h, None, 1.0, mode="random")
-        with pytest.raises(ValueError):
-            spectral_efficiency(h, h, 1.0, mode="genie")
-        with pytest.raises(ValueError):
-            spectral_efficiency(h, h, 0.0)
+        with pytest.raises(ValueError, match="noise variance"):
+            spectral_efficiency(h, h, noise_var)
 
 
 class TestOverheadTable:
@@ -121,7 +122,7 @@ class TestSimulate:
     # then schedule, then noise, from one generator.
     def test_downlink_draw_order(self):
         dims = SystemDims(n_bs=4, m_ris=6, k_pilots=12)
-        cascade, sched, obs = simulate_downlink(dims, 0.3, np.random.default_rng(5), "random")
+        cascade, sched, obs = simulate_downlink(dims, 0.3, np.random.default_rng(5))
         rng = np.random.default_rng(5)
         chan = sample_channel(dims, rng)
         ref_sched = make_pilot_schedule(dims, rng)
@@ -134,10 +135,10 @@ class TestSimulate:
 
     def test_uplink_draw_order(self):
         dims = SystemDims(n_bs=4, m_ris=6, k_pilots=8, q_users=2, t_symbols=2)
-        cascades, sched, obs = simulate_uplink(dims, 0.3, np.random.default_rng(6), "random")
+        cascades, sched, obs = simulate_uplink(dims, 0.3, np.random.default_rng(6))
         rng = np.random.default_rng(6)
         ref_chan = sample_channel(dims, rng)
-        ref_sched = make_uplink_schedule(dims, rng, phase_design="random")
+        ref_sched = make_uplink_schedule(dims)  # draws nothing
         g_up = ref_chan.g_uplink()
         np.testing.assert_array_equal(sched.phases, ref_sched.phases)
         ref_obs = uplink_observe(g_up, ref_chan.h_users, ref_sched, 0.3, rng)
@@ -194,13 +195,15 @@ def tiny_spec(**overrides):
 
 class TestExperimentSpec:
     def test_schedule_defaults_by_scenario(self):
-        assert tiny_spec().schedule_kind == "random"
-        uplink = tiny_spec(
-            scenario="multi_user_uplink",
-            dims=SystemDims(n_bs=4, m_ris=6, q_users=2, t_symbols=2),
-            estimators=(),
-        )
-        assert uplink.schedule_kind == "dft"
+        # the downlink trains on random phases, the uplink on the DFT schedule
+        dims = SystemDims(n_bs=4, m_ris=6, k_pilots=8, q_users=2, t_symbols=2)
+        _, downlink, _ = simulate_downlink(dims, 0.1, np.random.default_rng(7))
+        _, uplink, _ = simulate_uplink(dims, 0.1, np.random.default_rng(7))
+        rng = np.random.default_rng(7)
+        sample_channel(dims, rng)
+        random_pilots(4, 8, rng)
+        np.testing.assert_array_equal(downlink.phases, random_phase_schedule(6, 8, rng))
+        np.testing.assert_array_equal(uplink.phases, dft_phase_schedule(6, 8))
 
     def test_estimators_default_by_scenario(self):
         uplink_dims = SystemDims(n_bs=4, m_ris=6, q_users=2, t_symbols=2)
@@ -256,6 +259,9 @@ class TestExperimentSpec:
         ("master_seed", True),
         ("dims", [4, 6]),
         ("dims", {"n_bs": True, "m_ris": 6}),
+        ("estimators", "MF_AM"),
+        ("estimators", ["LR", "LR"]),
+        ("estimators", {"LR": 1}),
     ])
     def test_rejects_malformed_field(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -267,8 +273,9 @@ class TestExperimentSpec:
         assert spec == tiny_spec() and type(spec.master_seed) is int
 
     def test_rejects_unknown_schedule(self):
-        with pytest.raises(ValueError):
-            tiny_spec(schedule_kind="hadamard")
+        # each link has one phase design, so a spec may not name one
+        with pytest.raises(ValueError, match="schedule_kind"):
+            ExperimentSpec.from_dict({**tiny_spec().to_dict(), "schedule_kind": "random"})
 
     def test_dict_round_trip(self):
         spec = tiny_spec()
@@ -522,7 +529,7 @@ class TestCellEnergies:
                 continue
             dims = SystemDims(n_bs=4, m_ris=6, k_pilots=r.k)
             cascade, sched, obs = simulate_downlink(
-                dims, 10.0 ** (-r.snr_db / 10.0), np.random.default_rng(seed), "random")
+                dims, 10.0 ** (-r.snr_db / 10.0), np.random.default_rng(seed))
             hand.append(_hand_energies([cascade.h_e], [entry.estimate(obs, sched)]))
             assert (r.error_energy, r.reference_energy) == hand[-1]
         feasible = [r for r in records if r.nmse is not None]
@@ -536,7 +543,7 @@ class TestCellEnergies:
         for r in records:
             seed = trial_seed(spec.master_seed, "MF", 0, spec.k_grid.index(r.k), r.trial)
             cascades, sched, obs = simulate_uplink(
-                dataclasses.replace(dims, k_pilots=r.k), 0.1, np.random.default_rng(seed), "dft")
+                dataclasses.replace(dims, k_pilots=r.k), 0.1, np.random.default_rng(seed))
             h_hats = estimate_multi_user(obs, sched).h_hats
             truths = [cascade.h_e for cascade in cascades]
             assert (r.error_energy, r.reference_energy) == _hand_energies(truths, h_hats)

@@ -10,11 +10,14 @@ from rismf import (
     array_response,
     cascaded_downlink,
     despread,
+    dft_phase_schedule,
     downlink_observe,
     estimate_single_user,
     lr_rankone,
     make_pilot_schedule,
     nmse,
+    random_phase_schedule,
+    random_pilots,
     sample_channel,
     simulate_downlink,
     simulate_uplink,
@@ -118,7 +121,7 @@ def angle_objectives(seed):
     a_bar = rng.standard_normal(32) + 1j * rng.standard_normal(32)
     scaled = ((sched.phases @ a_bar)[:, None] * sched.pilots).T
     uplink_dims = SystemDims(n_bs=16, m_ris=32, k_pilots=64, q_users=3, t_symbols=3)
-    _, up_sched, up_obs = simulate_uplink(uplink_dims, obs.noise_var, rng, "dft")
+    _, up_sched, up_obs = simulate_uplink(uplink_dims, obs.noise_var, rng)
     z = np.hstack(despread(up_obs, up_sched))
     return {
         "spectral": (s.conj().T @ s, None),
@@ -209,7 +212,9 @@ class TestAngleCoefficients:
     @pytest.mark.parametrize("k", [8, 40])
     def test_match_the_gram_diagonal_sums(self, kind, n_bs, k):
         rng = np.random.default_rng(191)
-        sched = make_pilot_schedule(SystemDims(n_bs=n_bs, m_ris=8, k_pilots=k), rng, kind)
+        pilots = random_pilots(n_bs, k, rng)
+        phases = random_phase_schedule(8, k, rng) if kind == "random" else dft_phase_schedule(8, k)
+        sched = PilotSchedule(pilots, phases)
         a_bar = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         values = rng.standard_normal(k) + 1j * rng.standard_normal(k)
         scaled = ((sched.phases @ a_bar)[:, None] * sched.pilots).T
@@ -285,7 +290,7 @@ class TestScaledLstsq:
     def test_matches_orthogonal_lstsq(self, snr_db, k):
         dims = SystemDims(n_bs=32, m_ris=50, k_pilots=k)
         rng = np.random.default_rng(151)
-        cas, sched, obs = simulate_downlink(dims, 10.0 ** (-snr_db / 10.0), rng, "random")
+        cas, sched, obs = simulate_downlink(dims, 10.0 ** (-snr_db / 10.0), rng)
         for psi in (cas.psi, 0.37):
             gains = sched.pilots @ array_response(32, psi).conj()
             reference = np.linalg.lstsq(gains[:, None] * sched.phases, obs.values, rcond=None)[0]
@@ -294,7 +299,7 @@ class TestScaledLstsq:
 
     def test_tall_rank_deficient_design_rejected(self):
         dims = SystemDims(n_bs=32, m_ris=50, k_pilots=400)
-        _, sched, obs = simulate_downlink(dims, 0.1, np.random.default_rng(152), "random")
+        _, sched, obs = simulate_downlink(dims, 0.1, np.random.default_rng(152))
         phases = sched.phases.copy()
         phases[:, -1] = phases[:, 0]  # the last RIS element repeats the first
         repeated = PilotSchedule(pilots=sched.pilots, phases=phases)

@@ -43,7 +43,7 @@ scales = st.builds(
 
 
 def make_cell(seed):
-    _, sched, obs = simulate_downlink(DIMS, NOISE_VAR, np.random.default_rng(seed), "random")
+    _, sched, obs = simulate_downlink(DIMS, NOISE_VAR, np.random.default_rng(seed))
     return sched, obs
 
 

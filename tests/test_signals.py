@@ -114,20 +114,11 @@ class TestScheduleTypes:
                            user_pilots=np.ones((1, 1), dtype=complex))
 
     def test_both_links_share_the_dft_layout(self):
+        # a DFT downlink schedule is built by hand
         dims = SystemDims(n_bs=4, m_ris=6, k_pilots=8, q_users=2, t_symbols=2)
-        downlink = make_pilot_schedule(dims, np.random.default_rng(8), phase_design="dft")
+        downlink = PilotSchedule(random_pilots(4, 8, np.random.default_rng(8)),
+                                 dft_phase_schedule(6, 8))
         np.testing.assert_array_equal(downlink.phases, make_uplink_schedule(dims).phases)
-
-    def test_make_pilot_schedule_dft_option(self):
-        dims = SystemDims(n_bs=4, m_ris=6, k_pilots=8)
-        sched = make_pilot_schedule(dims, np.random.default_rng(8), phase_design="dft")
-        gram = sched.phases.T @ sched.phases.conj()
-        np.testing.assert_allclose(gram, 8 * np.eye(6), atol=1e-9)
-
-    def test_make_pilot_schedule_unknown_design(self):
-        dims = SystemDims(n_bs=4, m_ris=6, k_pilots=8)
-        with pytest.raises(ValueError):
-            make_pilot_schedule(dims, np.random.default_rng(9), phase_design="walsh")
 
     @pytest.mark.parametrize("n_bs", [1, 2, 5, 32])
     def test_autocorrelation_matches_lag_sums(self, n_bs):
