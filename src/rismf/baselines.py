@@ -25,7 +25,7 @@ def ls_full(obs: ObservationSet, sched: PilotSchedule) -> np.ndarray:
     never copied; that triangle is the conjugate Gram, which is factored in
     place and solved against the conjugate right-hand side.
 
-    Unlike the small solves of :func:`~rismf.mf._cholesky`, the factor gets
+    Unlike the small solves of :func:`~rismf.channel._cholesky`, the factor gets
     no ``pocon`` condition check. That check needs the Gram's 1-norm, but
     ``zherk`` fills only one triangle, and the norm of the full (m n)^2
     Gram takes a real temporary of its size: about 20 MB per concurrent

@@ -11,6 +11,9 @@ Conventions used throughout the package:
 * RIS-user channels are i.i.d. standard circularly symmetric complex Gaussian;
   the RIS-user path gain is absorbed into them, and the direct BS-user path is
   taken as zero.
+
+The module also holds the two numerical helpers every other module shares:
+the complex Gaussian sampler and the checked Cholesky factor of a small Gram.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 __all__ = [
     "SystemDims",
@@ -31,6 +35,12 @@ __all__ = [
     "cascaded_downlink",
     "cascaded_uplink",
 ]
+
+# Largest condition number accepted for the Gram of a factor LS step or of
+# the uplink phase schedule; above it the design counts as rank deficient.
+_COND_LIMIT = 1e12
+# LAPACK's reciprocal condition estimate from a Cholesky factor
+_POCON = scipy.linalg.lapack.get_lapack_funcs("pocon", dtype=complex)
 
 
 def array_response(n_elements: int, angle: float) -> np.ndarray:
@@ -61,11 +71,36 @@ def steering_matrix(n_elements: int, angles) -> np.ndarray:
 
 
 def complex_normal(rng: np.random.Generator, shape=None, var: float = 1.0):
-    """Circularly symmetric complex Gaussian draws with the given total variance."""
+    """Circularly symmetric complex Gaussian draws with the given total variance.
+
+    All real parts are drawn before all imaginary parts; both are scaled
+    straight into one complex array, bit for bit ``scale * (re + 1j * im)``.
+    """
     scale = np.sqrt(var / 2.0)
     re = rng.standard_normal(shape)
     im = rng.standard_normal(shape)
-    return scale * (re + 1j * im)
+    out = np.empty(np.shape(re), dtype=complex)
+    np.multiply(scale, re, out=out.real)
+    np.multiply(scale, im, out=out.imag)
+    return out if shape is not None else out[()]
+
+
+def _cholesky(gram: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Cholesky factor of a small Hermitian Gram, checked for full rank.
+
+    The Gram counts as rank deficient (``ValueError``) when the
+    factorization fails or LAPACK's ``pocon`` estimate of its condition
+    number exceeds ``_COND_LIMIT``. Returns the factor in the form
+    ``scipy.linalg.cho_solve`` takes.
+    """
+    try:
+        factor = scipy.linalg.cho_factor(gram, check_finite=False)
+    except np.linalg.LinAlgError as err:
+        raise ValueError(f"LS design is rank deficient: {err}") from err
+    rcond, _ = _POCON(factor[0], np.abs(gram).sum(axis=0).max())
+    if rcond * _COND_LIMIT < 1.0:
+        raise ValueError(f"LS design is rank deficient (reciprocal condition {rcond:.1e})")
+    return factor
 
 
 def _is_count(value) -> bool:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .channel import array_response
+from .channel import _cholesky, array_response
 from .signals import ObservationSet, PilotSchedule
 
 __all__ = [
@@ -44,11 +44,6 @@ _TOL_OBJECTIVE = 1e-10
 # GD starts every step at this size and halves it at most this many times.
 _GD_STEP = 1e-2
 _MAX_BACKTRACKS = 30
-# Largest condition number accepted for the Gram of a factor LS step or of
-# the uplink phase schedule; above it the design counts as rank deficient.
-_COND_LIMIT = 1e12
-# LAPACK's reciprocal condition estimate from a Cholesky factor
-_POCON = scipy.linalg.lapack.get_lapack_funcs("pocon", dtype=complex)
 
 
 @dataclass
@@ -120,29 +115,12 @@ def _stalled(history: list[float], floor: float) -> bool:
     return curr <= floor or (prev - curr) <= _TOL_OBJECTIVE * prev
 
 
-def _cholesky(gram: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Cholesky factor of a small Hermitian Gram, checked for full rank.
-
-    The Gram counts as rank deficient (``ValueError``) when the
-    factorization fails or LAPACK's ``pocon`` estimate of its condition
-    number exceeds ``_COND_LIMIT``. Returns the factor in the form
-    ``scipy.linalg.cho_solve`` takes.
-    """
-    try:
-        factor = scipy.linalg.cho_factor(gram, check_finite=False)
-    except np.linalg.LinAlgError as err:
-        raise ValueError(f"LS design is rank deficient: {err}") from err
-    rcond, _ = _POCON(factor[0], np.abs(gram).sum(axis=0).max())
-    if rcond * _COND_LIMIT < 1.0:
-        raise ValueError(f"LS design is rank deficient (reciprocal condition {rcond:.1e})")
-    return factor
-
-
 def _scaled_lstsq(gains: np.ndarray, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
     """LS solution of ``(gains[:, None] * rows) x = values``.
 
-    This is a Cholesky solve (:func:`_cholesky`) of the weighted normal
-    equations ``rows^H diag(|gains|^2) rows x = rows^H (conj(gains) * values)``
+    This is a Cholesky solve (:func:`~rismf.channel._cholesky`) of the
+    weighted normal equations
+    ``rows^H diag(|gains|^2) rows x = rows^H (conj(gains) * values)``
     (Golub and Van Loan, *Matrix Computations*, sec. 5.3). The design must be
     tall. The normal equations square the design's condition number, which
     is acceptable at these sizes: over 200 random N = 32, K = M = 50 cells,

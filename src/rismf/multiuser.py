@@ -17,8 +17,8 @@ import numpy as np
 import scipy.linalg
 
 from .channel import _is_count, array_response
-from .mf import _cholesky, manifold_coefficients, maximize_over_manifold
-from .signals import ObservationSet, UplinkSchedule, despread
+from .mf import manifold_coefficients, maximize_over_manifold
+from .signals import ObservationSet, UplinkSchedule, _phase_gram_factor, despread
 
 __all__ = [
     "MultiUserEstimate",
@@ -57,15 +57,6 @@ def estimate_psi_uplink(s_list) -> float:
     return maximize_over_manifold(manifold_coefficients(stacked @ stacked.conj().T))
 
 
-def _phase_gram_factor(phases: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Cholesky factor of the (m, m) Gram ``theta^T conj(theta)`` of a (k, m)
-    phase schedule, checked for full rank by :func:`~rismf.mf._cholesky`."""
-    k, m_ris = phases.shape
-    if k < m_ris:
-        raise ValueError(f"stage-2 LS needs k >= m_ris, got k={k}, m_ris={m_ris}")
-    return _cholesky(phases.T @ phases.conj())
-
-
 def estimate_a_q(s_q: np.ndarray, phases: np.ndarray, psi_hat: float) -> np.ndarray:
     """LS estimate of a user's RIS-side factor at the given angle.
 
@@ -80,7 +71,11 @@ def estimate_a_q(s_q: np.ndarray, phases: np.ndarray, psi_hat: float) -> np.ndar
     despread user, shape (n_bs, k), giving shape (m,), or a stack of them,
     shape (q, n_bs, k), giving shape (q, m) from one Cholesky factor.
     """
-    factor = _phase_gram_factor(phases)
+    return _solve_a_q(s_q, phases, _phase_gram_factor(phases), psi_hat)
+
+
+def _solve_a_q(s_q: np.ndarray, phases: np.ndarray, factor, psi_hat: float) -> np.ndarray:
+    """:func:`estimate_a_q` against a given Cholesky factor of the phase Gram."""
     a_b = array_response(s_q.shape[-2], psi_hat)
     projected = s_q.conj().swapaxes(-1, -2) @ a_b  # (k,) or (q, k)
     return scipy.linalg.cho_solve(factor, phases.T @ projected.T, check_finite=False).T
@@ -111,12 +106,14 @@ def predicted_mse(noise_var: float, t_symbols: int, phases: np.ndarray) -> float
 def estimate_multi_user(obs: ObservationSet, sched: UplinkSchedule) -> MultiUserEstimate:
     """Despread every user, estimate the shared angle, then solve per user.
 
-    The stage-2 floor at a known angle is ``estimate_a_q(despread(obs, sched),
-    sched.phases, psi)``, which :func:`predicted_mse` predicts.
+    Stage 2 equals ``estimate_a_q(despread(obs, sched), sched.phases, psi_hat)``
+    but reuses ``sched.phase_gram_factor``. The stage-2 floor at a known
+    angle is the same solve at the true angle, which :func:`predicted_mse`
+    predicts.
     """
     despread_all = despread(obs, sched)
     psi_hat = estimate_psi_uplink(despread_all)
-    a_bar_hats = estimate_a_q(despread_all, sched.phases, psi_hat)
+    a_bar_hats = _solve_a_q(despread_all, sched.phases, sched.phase_gram_factor, psi_hat)
     a_b = array_response(obs.values.shape[1], psi_hat)
     h_hats = a_b[None, :, None] * a_bar_hats.conj()[:, None, :]
     return MultiUserEstimate(psi_hat=psi_hat, a_bar_hats=a_bar_hats, h_hats=h_hats)

@@ -5,6 +5,10 @@ Each link has one phase design: the downlink trains with random RIS phases
 (:func:`make_uplink_schedule`). Another design is built by hand from
 :func:`random_phase_schedule` or :func:`dft_phase_schedule`, e.g. a DFT
 downlink schedule as ``PilotSchedule(pilots, dft_phase_schedule(m, k))``.
+
+The uplink schedule draws nothing, so :func:`make_uplink_schedule` hands
+every caller and sweep thread one cached, read-only :class:`UplinkSchedule`
+per set of dimensions, together with the phase-Gram factor it caches.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import CascadedChannel, SystemDims, complex_normal
+from .channel import CascadedChannel, SystemDims, _cholesky, complex_normal
 
 __all__ = [
     "PilotSchedule",
@@ -56,9 +60,10 @@ class PilotSchedule:
                 f"{self.phases.shape[0]} phase vectors"
             )
         norms = np.linalg.norm(self.pilots, axis=1)
-        if np.abs(norms - 1.0).max() > _UNIT_TOL:
+        # written as "not <=" so that NaN entries fail too
+        if not np.abs(norms - 1.0).max() <= _UNIT_TOL:
             raise ValueError("every pilot must have unit norm")
-        if np.abs(np.abs(self.phases) - 1.0).max() > _UNIT_TOL:
+        if not np.abs(np.abs(self.phases) - 1.0).max() <= _UNIT_TOL:
             raise ValueError("every phase entry must have unit modulus")
 
     @property
@@ -80,14 +85,17 @@ class PilotSchedule:
         return rho
 
 
-@dataclass
+@dataclass(frozen=True)
 class UplinkSchedule:
     """Uplink training schedule: one RIS phase vector per block, one pilot block.
 
     ``phases`` has shape (k, m_ris) with unit-modulus entries, slot-major as in
     :class:`PilotSchedule`: row k is the RIS configuration held for block k.
     ``user_pilots`` has shape (q_users, t_symbols); row q is the pilot user q
-    sends in every block.
+    sends in every block. The rows must be finite and orthogonal with
+    ``X X^H = T I``: :func:`despread` relies on it to cancel every other user
+    exactly. The schedule is frozen and is not modified after construction,
+    which lets it cache :attr:`phase_gram_factor`.
     """
 
     phases: np.ndarray
@@ -96,8 +104,15 @@ class UplinkSchedule:
     def __post_init__(self):
         if self.phases.ndim != 2 or self.user_pilots.ndim != 2:
             raise ValueError("phases (k, m_ris) and user_pilots (q_users, t_symbols) must be 2-D")
-        if np.abs(np.abs(self.phases) - 1.0).max() > _UNIT_TOL:
+        if not np.abs(np.abs(self.phases) - 1.0).max() <= _UNIT_TOL:
             raise ValueError("every phase entry must have unit modulus")
+        q_users, t_symbols = self.user_pilots.shape
+        gram = self.user_pilots @ self.user_pilots.conj().T
+        if not np.abs(gram - t_symbols * np.eye(q_users)).max() <= _UNIT_TOL * t_symbols:
+            raise ValueError(
+                f"user_pilots {self.user_pilots.shape} must be finite with orthogonal rows, "
+                "X X^H = t_symbols I"
+            )
 
     @property
     def q_users(self) -> int:
@@ -106,6 +121,14 @@ class UplinkSchedule:
     @property
     def t_symbols(self) -> int:
         return self.user_pilots.shape[1]
+
+    @functools.cached_property
+    def phase_gram_factor(self) -> tuple[np.ndarray, bool]:
+        """:func:`_phase_gram_factor` of ``phases``, computed on first use and
+        kept, read-only, for the schedule's lifetime."""
+        triangle, lower = _phase_gram_factor(self.phases)
+        triangle.flags.writeable = False
+        return triangle, lower
 
 
 @dataclass
@@ -177,11 +200,32 @@ def make_pilot_schedule(dims: SystemDims, rng: np.random.Generator) -> PilotSche
 
 
 def make_uplink_schedule(dims: SystemDims) -> UplinkSchedule:
-    """The MSE-optimal DFT RIS phases and one orthogonal pilot block; draws nothing."""
-    return UplinkSchedule(
-        phases=dft_phase_schedule(dims.m_ris, dims.k_pilots),
-        user_pilots=orthogonal_user_pilots(dims.q_users, dims.t_symbols),
-    )
+    """The MSE-optimal DFT RIS phases and one orthogonal pilot block; draws nothing.
+
+    The schedule depends on ``(m_ris, k_pilots, q_users, t_symbols)`` only.
+    One instance per combination is cached and shared by every caller and
+    thread, so it is read-only: writing to its arrays raises ``ValueError``;
+    copy them to build a modified schedule.
+    """
+    return _dft_uplink_schedule(dims.m_ris, dims.k_pilots, dims.q_users, dims.t_symbols)
+
+
+@functools.lru_cache(maxsize=16)
+def _dft_uplink_schedule(m_ris: int, k: int, q_users: int, t_symbols: int) -> UplinkSchedule:
+    phases = dft_phase_schedule(m_ris, k)
+    user_pilots = orthogonal_user_pilots(q_users, t_symbols)
+    phases.flags.writeable = False
+    user_pilots.flags.writeable = False
+    return UplinkSchedule(phases, user_pilots)
+
+
+def _phase_gram_factor(phases: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Cholesky factor of the (m, m) Gram ``theta^T conj(theta)`` of a (k, m)
+    phase schedule, checked for full rank by :func:`~rismf.channel._cholesky`."""
+    k, m_ris = phases.shape
+    if k < m_ris:
+        raise ValueError(f"stage-2 LS needs k >= m_ris, got k={k}, m_ris={m_ris}")
+    return _cholesky(phases.T @ phases.conj())
 
 
 def downlink_observe(
@@ -206,6 +250,11 @@ def downlink_observe(
     return ObservationSet(values=values, noise_var=float(noise_var))
 
 
+def _require_uplink(sched, caller: str) -> None:
+    if not isinstance(sched, UplinkSchedule):
+        raise ValueError(f"{caller} needs an UplinkSchedule, got {type(sched).__name__}")
+
+
 def uplink_observe(
     g_uplink: np.ndarray,
     h_users: np.ndarray,
@@ -216,16 +265,32 @@ def uplink_observe(
     """Received uplink blocks ``R_k = sum_q g diag(theta_k) h_q x_q^T + N_k``.
 
     ``g_uplink`` is (n_bs, m_ris) and ``h_users`` is (q_users, m_ris); the
-    result is (k, n_bs, t_symbols) with i.i.d. complex Gaussian block noise of
-    variance ``noise_var`` per entry.
+    result is a C-contiguous (k, n_bs, t_symbols) array with i.i.d. complex
+    Gaussian block noise of variance ``noise_var`` per entry. Column t of
+    ``R_k`` is ``g (theta_k * w_t)`` with ``w_t = sum_q x_q[t] h_q``, so
+    every block comes out of one (k t, m_ris) by (m_ris, n_bs) product.
     """
-    effective = sched.phases[:, None, :] * h_users[None, :, :]  # (k, q, m)
-    per_user = np.einsum("nm,kqm->knq", g_uplink, effective)
-    values = per_user @ sched.user_pilots
+    _require_uplink(sched, "uplink_observe")
+    k, m_ris = sched.phases.shape
+    if np.ndim(g_uplink) != 2 or g_uplink.shape[1] != m_ris or (
+        np.shape(h_users) != (sched.q_users, m_ris)
+    ):
+        raise ValueError(
+            f"uplink_observe needs g_uplink (n_bs, {m_ris}) and h_users "
+            f"({sched.q_users}, {m_ris}) for this schedule, got g_uplink "
+            f"{np.shape(g_uplink)} and h_users {np.shape(h_users)}"
+        )
+    n_bs, t_symbols = g_uplink.shape[0], sched.t_symbols
+    mixed = sched.user_pilots.T @ h_users  # (t, m): X^T H
+    slots = (sched.phases[:, None, :] * mixed).reshape(k * t_symbols, m_ris)
+    received = (slots @ g_uplink.T).reshape(k, t_symbols, n_bs).transpose(0, 2, 1)
     if noise_var > 0.0:
         if rng is None:
             raise ValueError("noisy observation needs an rng")
-        values = values + complex_normal(rng, values.shape, var=noise_var)
+        noise = complex_normal(rng, received.shape, var=noise_var)
+        values = np.add(noise, received, out=noise)
+    else:
+        values = np.ascontiguousarray(received)
     return ObservationSet(values=values, noise_var=float(noise_var))
 
 
@@ -234,8 +299,18 @@ def despread(obs: ObservationSet, sched: UplinkSchedule) -> np.ndarray:
 
     Entry [q, :, k] is ``(1/T) R_k conj(x_q)``; with the orthogonal pilot
     construction this removes every other user exactly and leaves noise of
-    variance ``noise_var / T`` per entry.
+    variance ``noise_var / T`` per entry. One (k n_bs, T) by (T, q_users)
+    product computes every entry; the result is a transposed view of it.
     """
-    if obs.values.ndim != 3:
-        raise ValueError("despread needs uplink observations (k, n_bs, t_symbols)")
-    return np.einsum("knt,qt->qnk", obs.values, sched.user_pilots.conj()) / sched.t_symbols
+    _require_uplink(sched, "despread")
+    (k, _), (q_users, t_symbols) = sched.phases.shape, sched.user_pilots.shape
+    values = obs.values
+    if values.ndim != 3 or values.shape[0] != k or values.shape[2] != t_symbols:
+        raise ValueError(
+            f"despread needs uplink observations (k, n_bs, t_symbols) = "
+            f"({k}, n_bs, {t_symbols}) for this schedule, got {values.shape}"
+        )
+    n_bs = values.shape[1]
+    weights = sched.user_pilots.conj().T / t_symbols  # (t, q)
+    per_user = values.reshape(k * n_bs, t_symbols) @ weights
+    return per_user.reshape(k, n_bs, q_users).transpose(2, 1, 0)

@@ -36,6 +36,25 @@ class TestArrayResponse:
             )
 
 
+class TestComplexNormal:
+    @pytest.mark.parametrize("shape", [1, (5, 50), (40, 32, 5)])
+    def test_bit_identical_to_the_sum_expression(self, shape):
+        # the draws fill one complex array; the bits are those of scale * (re + 1j * im)
+        for var in (1.0, 0.37, 32.0):
+            ref_rng, rng = np.random.default_rng(7), np.random.default_rng(7)
+            scale = np.sqrt(var / 2.0)
+            re, im = ref_rng.standard_normal(shape), ref_rng.standard_normal(shape)
+            expected = scale * (re + 1j * im)
+            drawn = complex_normal(rng, shape, var=var)
+            assert drawn.shape == expected.shape and drawn.flags.c_contiguous
+            np.testing.assert_array_equal(drawn.view(float), expected.view(float))
+
+    def test_scalar_without_shape(self):
+        drawn = complex_normal(np.random.default_rng(8))
+        re, im = np.random.default_rng(8).standard_normal(2)
+        assert drawn == np.sqrt(0.5) * (re + 1j * im)
+
+
 class TestSystemDims:
     def test_defaults(self):
         dims = SystemDims(n_bs=4, m_ris=6)

@@ -3,6 +3,7 @@ import pytest
 
 from rismf import (
     SystemDims,
+    UplinkSchedule,
     array_response,
     despread,
     dft_phase_schedule,
@@ -204,21 +205,24 @@ class TestEstimateMultiUser:
             rebuilt = np.outer(a_b, est.a_bar_hats[q].conj())
             np.testing.assert_allclose(est.h_hats[q], rebuilt, atol=1e-13)
 
-    def test_phase_gram_factored_once_per_call(self, monkeypatch):
-        # one factor serves the stacked stage-2 solve of every user
-        from rismf import multiuser
+    def test_phase_gram_factored_once_per_schedule(self, monkeypatch):
+        # one factor, cached on the schedule, serves every user of every call
+        from rismf import signals
 
         calls = []
-        original = multiuser._phase_gram_factor
+        original = signals._phase_gram_factor
 
         def counted(phases):
             calls.append(phases)
             return original(phases)
 
-        monkeypatch.setattr(multiuser, "_phase_gram_factor", counted)
-        _, _, sched, obs = make_uplink_case(246, noise_var=0.5)
-        estimate_multi_user(obs, sched)
+        monkeypatch.setattr(signals, "_phase_gram_factor", counted)
+        _, _, cached, obs = make_uplink_case(246, noise_var=0.5)
+        # a schedule built by hand is not in make_uplink_schedule's cache
+        sched = UplinkSchedule(cached.phases.copy(), cached.user_pilots.copy())
+        estimates = [estimate_multi_user(obs, sched) for _ in range(3)]
         assert len(calls) == 1
+        np.testing.assert_array_equal(estimates[0].a_bar_hats, estimates[2].a_bar_hats)
 
     def test_nan_data_rejected(self):
         _, _, sched, obs = make_uplink_case(245, noise_var=0.5)

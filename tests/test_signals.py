@@ -113,6 +113,28 @@ class TestScheduleTypes:
             UplinkSchedule(phases=np.ones(8, dtype=complex),
                            user_pilots=np.ones((1, 1), dtype=complex))
 
+    @pytest.mark.parametrize("pilots", [
+        np.ones((2, 3), dtype=complex),          # identical rows
+        np.zeros((1, 2), dtype=complex),         # silent user
+        np.full((1, 1), np.nan, dtype=complex),  # non-finite
+        2.0 * orthogonal_user_pilots(2, 2),      # orthogonal, wrong power
+    ])
+    def test_uplink_schedule_rejects_non_orthogonal_pilots(self, pilots):
+        with pytest.raises(ValueError, match="orthogonal"):
+            UplinkSchedule(phases=dft_phase_schedule(4, 8), user_pilots=pilots)
+
+    def test_uplink_schedule_rejects_nan_phases(self):
+        phases = dft_phase_schedule(4, 8)
+        phases[3, 1] = np.nan
+        with pytest.raises(ValueError, match="unit modulus"):
+            UplinkSchedule(phases=phases, user_pilots=np.ones((1, 1), dtype=complex))
+
+    def test_pilot_schedule_rejects_nan_pilots(self):
+        pilots = random_pilots(4, 3, np.random.default_rng(9))
+        pilots[1, 2] = np.nan
+        with pytest.raises(ValueError, match="unit norm"):
+            PilotSchedule(pilots=pilots, phases=dft_phase_schedule(3, 3))
+
     def test_both_links_share_the_dft_layout(self):
         # a DFT downlink schedule is built by hand
         dims = SystemDims(n_bs=4, m_ris=6, k_pilots=8, q_users=2, t_symbols=2)
@@ -129,6 +151,42 @@ class TestScheduleTypes:
                           for k in range(7)])
         assert sched.autocorrelation.shape == (7, n_bs)
         np.testing.assert_allclose(sched.autocorrelation, brute, rtol=0, atol=1e-14)
+
+
+class TestUplinkScheduleCache:
+    def test_same_dims_give_the_same_object(self):
+        dims = SystemDims(n_bs=4, m_ris=6, k_pilots=8, q_users=2, t_symbols=3)
+        sched = make_uplink_schedule(dims)
+        assert make_uplink_schedule(dims) is sched
+        # n_bs does not enter the schedule
+        assert make_uplink_schedule(SystemDims(n_bs=9, m_ris=6, k_pilots=8, q_users=2,
+                                               t_symbols=3)) is sched
+        assert make_uplink_schedule(SystemDims(n_bs=4, m_ris=6, k_pilots=9, q_users=2,
+                                               t_symbols=3)) is not sched
+
+    def test_shared_schedule_is_read_only(self):
+        sched = make_uplink_schedule(SystemDims(n_bs=4, m_ris=6, k_pilots=8, q_users=2,
+                                                t_symbols=3))
+        triangle, _ = sched.phase_gram_factor
+        for array in (sched.phases, sched.user_pilots, triangle):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 0.0
+        with pytest.raises(AttributeError):
+            sched.phases = sched.phases.copy()
+
+    def test_factor_is_the_checked_phase_gram_factor(self):
+        sched = make_uplink_schedule(SystemDims(n_bs=4, m_ris=6, k_pilots=8))
+        triangle, lower = sched.phase_gram_factor
+        assert sched.phase_gram_factor[0] is triangle
+        full = np.tril(triangle) if lower else np.triu(triangle)
+        gram = full @ full.conj().T if lower else full.conj().T @ full
+        np.testing.assert_allclose(gram, sched.phases.T @ sched.phases.conj(), atol=1e-12)
+
+    def test_short_schedule_factor_rejected(self):
+        sched = UplinkSchedule(random_phase_schedule(6, 4, np.random.default_rng(25)),
+                               np.ones((1, 1), dtype=complex))
+        with pytest.raises(ValueError, match="k >= m_ris"):
+            sched.phase_gram_factor
 
 
 class TestDownlinkObserve:
@@ -211,6 +269,43 @@ class TestUplinkObserve:
                 brute[k] += np.outer(g_up @ diag, sched.user_pilots[q])
         np.testing.assert_allclose(obs.values, brute, atol=1e-12)
 
+    @pytest.mark.parametrize("k, q, t", [(8, 2, 3), (7, 1, 1), (6, 3, 3), (9, 2, 5)])
+    def test_matches_brute_force_on_full_rank_g(self, k, q, t):
+        # any (n_bs, m_ris) channel, not only the rank-one line of sight
+        rng = np.random.default_rng(23)
+        g_up = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
+        h_users = rng.standard_normal((q, 6)) + 1j * rng.standard_normal((q, 6))
+        sched = make_uplink_schedule(SystemDims(n_bs=4, m_ris=6, k_pilots=k, q_users=q,
+                                                t_symbols=t))
+        values = uplink_observe(g_up, h_users, sched, 0.0).values
+        assert values.shape == (k, 4, t) and values.flags.c_contiguous
+        for kk in range(k):
+            expected = sum(np.outer(g_up @ (sched.phases[kk] * h_users[qq]),
+                                    sched.user_pilots[qq]) for qq in range(q))
+            np.testing.assert_allclose(values[kk], expected, rtol=0, atol=1e-12)
+
+    def test_rejects_one_dimensional_users(self):
+        chan, g_up, sched, _ = self._setup()
+        with pytest.raises(ValueError, match=r"h_users \(6,\)"):
+            uplink_observe(g_up, chan.h_users[0], sched, 0.0)
+
+    def test_rejects_user_count_mismatch(self):
+        chan, g_up, sched, _ = self._setup(q=2)
+        with pytest.raises(ValueError, match=r"\(2, 6\).*h_users \(3, 6\)"):
+            uplink_observe(g_up, np.vstack([chan.h_users, chan.h_users[:1]]), sched, 0.0)
+
+    def test_rejects_ris_size_mismatch(self):
+        chan, g_up, sched, _ = self._setup()
+        with pytest.raises(ValueError, match=r"g_uplink \(4, 5\)"):
+            uplink_observe(g_up[:, :5], chan.h_users, sched, 0.0)
+
+    def test_rejects_downlink_schedule(self):
+        chan, g_up, _, _ = self._setup()
+        downlink = make_pilot_schedule(SystemDims(n_bs=4, m_ris=6, k_pilots=8),
+                                       np.random.default_rng(24))
+        with pytest.raises(ValueError, match="UplinkSchedule, got PilotSchedule"):
+            uplink_observe(g_up, chan.h_users, downlink, 0.0)
+
     def test_negative_noise_variance_rejected(self):
         chan, g_up, sched, _ = self._setup()
         with pytest.raises(ValueError, match="noise_var"):
@@ -282,3 +377,25 @@ class TestDespread:
         flat = ObservationSet(values=np.zeros(8, dtype=complex), noise_var=0.0)
         with pytest.raises(ValueError):
             despread(flat, sched)
+
+    def test_rejects_block_count_mismatch(self):
+        # K = 8 data against a K = 10 schedule
+        _, _, _, obs = self._setup(k=8)
+        sched = make_uplink_schedule(SystemDims(n_bs=4, m_ris=6, k_pilots=10, q_users=2,
+                                                t_symbols=4))
+        with pytest.raises(ValueError, match=r"\(10, n_bs, 4\).*got \(8, 4, 4\)"):
+            despread(obs, sched)
+
+    def test_rejects_symbol_count_mismatch(self):
+        _, _, _, obs = self._setup(t=4)
+        sched = make_uplink_schedule(SystemDims(n_bs=4, m_ris=6, k_pilots=10, q_users=2,
+                                                t_symbols=3))
+        with pytest.raises(ValueError, match=r"\(10, n_bs, 3\).*got \(10, 4, 4\)"):
+            despread(obs, sched)
+
+    def test_rejects_downlink_schedule(self):
+        _, _, _, obs = self._setup()
+        downlink = make_pilot_schedule(SystemDims(n_bs=4, m_ris=6, k_pilots=10),
+                                       np.random.default_rng(32))
+        with pytest.raises(ValueError, match="UplinkSchedule, got PilotSchedule"):
+            despread(obs, downlink)
