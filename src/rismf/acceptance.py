@@ -15,12 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baselines import ls_full
-from .channel import (
-    SystemDims,
-    array_response,
-    cascaded_downlink,
-    sample_channel,
-)
+from .channel import SystemDims, array_response, cascaded_downlink, sample_channel
 from .experiments import (
     ESTIMATORS,
     ExperimentSpec,
@@ -37,10 +32,12 @@ from .experiments import (
 from .mf import MfConfig, estimate_single_user, gd_gradients, objective
 from .multiuser import estimate_a_q, predicted_mse
 from .signals import (
+    UplinkSchedule,
     despread,
     dft_phase_schedule,
     downlink_observe,
     make_pilot_schedule,
+    orthogonal_user_pilots,
     random_phase_schedule,
 )
 
@@ -61,7 +58,7 @@ def _angle_injected_mse(dims, noise_var, tag, k_index, n_trials):
     for trial in range(n_trials):
         rng = np.random.default_rng(trial_seed(_MASTER, tag, 0, k_index, trial))
         cascades, sched, obs = simulate_uplink(dims, noise_var, rng)
-        a_bar_hats = estimate_a_q(despread(obs, sched), sched.phases, cascades[0].psi)
+        a_bar_hats = estimate_a_q(despread(obs, sched), sched, cascades[0].psi)
         for cascade, a_bar_hat in zip(cascades, a_bar_hats):
             total += float(np.sum(np.abs(a_bar_hat - cascade.a_bar) ** 2))
             count += 1
@@ -88,15 +85,16 @@ def _criterion_dft_mse_optimality():
     """Every unit-modulus schedule sits above the MSE floor; DFT attains it."""
     m_ris, k, t_symbols, noise_var = 8, 16, 4, 1.0
     floor = noise_var * m_ris / (k * t_symbols)
+    pilots = orthogonal_user_pilots(1, t_symbols)
     rng = _rng("mse-floor", 0)
     worst_gap = np.inf
     for _ in range(100):
-        schedule = random_phase_schedule(m_ris, k, rng)
-        value = predicted_mse(noise_var, t_symbols, schedule)
+        schedule = UplinkSchedule(random_phase_schedule(m_ris, k, rng), pilots)
+        value = predicted_mse(noise_var, schedule)
         worst_gap = min(worst_gap, value - floor)
         if value < floor - 1e-12:
             return False, f"random schedule beat the floor: {value:.6e} < {floor:.6e}"
-    dft_value = predicted_mse(noise_var, t_symbols, dft_phase_schedule(m_ris, k))
+    dft_value = predicted_mse(noise_var, UplinkSchedule(dft_phase_schedule(m_ris, k), pilots))
     passed = abs(dft_value - floor) <= 1e-9
     return passed, (
         f"floor {floor:.6f}, worst random gap +{worst_gap:.3e}, "
@@ -300,14 +298,15 @@ def _criterion_kron_equivalence():
         for m_ris in range(1, 5):
             for k in range(m_ris, 5):
                 rng = _rng("kron", n_bs * 100 + m_ris * 10 + k)
-                schedule = random_phase_schedule(m_ris, k, rng)
+                sched = UplinkSchedule(random_phase_schedule(m_ris, k, rng),
+                                       orthogonal_user_pilots(1, 1))
                 psi = float(rng.uniform())
                 s_q = (rng.standard_normal((n_bs, k))
                        + 1j * rng.standard_normal((n_bs, k)))
-                fast = estimate_a_q(s_q, schedule, psi)
+                fast = estimate_a_q(s_q, sched, psi)
 
                 a_b = array_response(n_bs, psi)
-                kron = np.kron(schedule, a_b[:, None])
+                kron = np.kron(sched.phases, a_b[:, None])
                 vec = s_q.reshape(-1, order="F")
                 reference, *_ = np.linalg.lstsq(kron, vec, rcond=None)
                 reference = reference.conj()

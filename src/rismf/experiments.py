@@ -2,6 +2,8 @@
 
 Each scenario trains with its link's one phase design: random phases for
 the single-user downlink, the DFT schedule for the multi-user uplink.
+:data:`SCENARIOS` is the one estimator registry and :func:`_sweep_cell`
+the one sweep cell of both scenarios.
 """
 
 from __future__ import annotations
@@ -19,13 +21,7 @@ import numpy as np
 
 from . import __version__
 from .baselines import lr_rankone, ls_full
-from .channel import (
-    SystemDims,
-    _is_count,
-    cascaded_downlink,
-    cascaded_uplink,
-    sample_channel,
-)
+from .channel import SystemDims, _is_count, cascaded_downlink, cascaded_uplink, sample_channel
 from .mf import MfConfig, estimate_single_user
 from .multiuser import estimate_multi_user
 from .signals import downlink_observe, make_pilot_schedule, make_uplink_schedule, uplink_observe
@@ -79,12 +75,11 @@ ESTIMATORS = {
     "LR": Estimator(lambda n, m: m + n, lambda obs, sched: lr_rankone(obs, sched).h_e_hat),
 }
 
-# The uplink two-stage method of multi-user sweeps, recorded as "MF". Its
-# estimate holds every user's cascade, shape (q_users, n_bs, m_ris).
-UPLINK_MF = Estimator(lambda n, m: m, lambda obs, sched: estimate_multi_user(obs, sched).h_hats)
-
 # The estimators each scenario may name; a spec that names none runs them all.
-SCENARIOS = {"single_user_downlink": ESTIMATORS, "multi_user_uplink": {"MF": UPLINK_MF}}
+# The uplink's two-stage method "MF" returns every user's cascade, (q_users, n_bs, m_ris).
+SCENARIOS = {"single_user_downlink": ESTIMATORS, "multi_user_uplink": {
+    "MF": Estimator(lambda n, m: m, lambda obs, sched: estimate_multi_user(obs, sched).h_hats),
+}}
 
 
 def nmse(h_true: np.ndarray, h_hat: np.ndarray) -> float:
@@ -171,6 +166,7 @@ class ExperimentSpec:
     ``estimators`` is a list of distinct names; left as None or empty it
     resolves to every estimator of the scenario, in registry order: the
     downlink :data:`ESTIMATORS`, or the uplink two-stage method ``("MF",)``.
+    Every SNR must map to a positive finite noise variance ``10^(-SNR/10)``.
     """
 
     scenario: str
@@ -203,9 +199,9 @@ class ExperimentSpec:
             if not isinstance(grid, list) or not grid:
                 raise ValueError(f"{name} must be a non-empty list, got {grid!r}")
         for snr_db in self.snr_grid_db:
-            if isinstance(snr_db, bool) or not isinstance(snr_db, numbers.Real) \
-                    or not math.isfinite(snr_db):
-                raise ValueError(f"snr_grid_db holds {snr_db!r}; SNRs must be finite numbers")
+            if not (_is_real(snr_db) and 0.0 < _noise_var(snr_db) < math.inf):
+                raise ValueError(f"snr_grid_db holds {snr_db!r}; SNRs must be numbers whose "
+                                 "noise variance 10^(-SNR/10) is a positive finite float")
         for k in self.k_grid:
             if not _is_count(k):
                 raise ValueError(f"k_grid holds {k!r}; pilot counts must be positive integers")
@@ -261,8 +257,6 @@ class ResultRecord:
                 raise ValueError(
                     f"{name} is {value!r}; records must carry a string without ',' or line breaks"
                 )
-        if not isinstance(self.snr_db, numbers.Real) or not math.isfinite(self.snr_db):
-            raise ValueError(f"snr_db is {self.snr_db!r}; records must carry a finite number")
         for name in ("k", "trial", "seed"):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
@@ -270,12 +264,11 @@ class ResultRecord:
         for name in ("k", "trial"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
-        for name in ("nmse", "se", "error_energy", "reference_energy"):
+        for name in ("snr_db", "nmse", "se", "error_energy", "reference_energy"):
             value = getattr(self, name)
-            if value is None:
-                continue
-            if not isinstance(value, numbers.Real) or not math.isfinite(value):
-                raise ValueError(f"{name} is {value!r}; records must be finite numbers")
+            if (value is not None or name == "snr_db") \
+                    and not (_is_real(value) and math.isfinite(value)):
+                raise ValueError(f"{name} is {value!r}; records must carry finite numbers")
         if self.nmse is not None and self.nmse < 0.0:
             raise ValueError("nmse must be nonnegative")
         if (self.error_energy is None) != (self.reference_energy is None):
@@ -310,6 +303,19 @@ def trial_seed(master_seed: int, estimator: str, snr_index: int, k_index: int, t
     return int.from_bytes(digest[:8], "little")
 
 
+def _is_real(value) -> bool:
+    """A real number that is not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _noise_var(snr_db: float) -> float:
+    """Per-sample noise variance at a nominal SNR (unit receive power); inf on overflow."""
+    try:
+        return 10.0 ** (-float(snr_db) / 10.0)
+    except OverflowError:
+        return math.inf
+
+
 def _energies(truths, estimates) -> tuple[float, float]:
     """Summed ``||h_hat - h||^2`` and ``||h||^2`` over a cell's users."""
     error, reference = 0.0, 0.0
@@ -319,47 +325,36 @@ def _energies(truths, estimates) -> tuple[float, float]:
     return error, reference
 
 
-def _single_user_cell(spec, estimator, snr_db, k, trial, snr_index, k_index):
+def _sweep_cell(spec, estimator, snr_db, k, trial, snr_index, k_index) -> ResultRecord:
+    """One sweep cell of either scenario; a cell below the estimator's pilot
+    floor is recorded as infeasible without drawing anything. The scenario's
+    body is looked up by module-global name at call time, so rebinding it
+    (e.g. to instrument it) reaches every sweep."""
     seed = trial_seed(spec.master_seed, estimator, snr_index, k_index, trial)
-    entry = ESTIMATORS[estimator]
-    if k < entry.min_pilots(spec.dims.n_bs, spec.dims.m_ris):
-        return ResultRecord(
-            spec.scenario, estimator, snr_db, k, trial, seed, None, None
-        )
+    entry = SCENARIOS[spec.scenario][estimator]
+    scores = (None, None)
+    if k >= entry.min_pilots(spec.dims.n_bs, spec.dims.m_ris):
+        body = _single_user_cell if spec.scenario == "single_user_downlink" else _multi_user_cell
+        scores = body(spec.dims, k, entry, _noise_var(snr_db), np.random.default_rng(seed))
+    return ResultRecord(spec.scenario, estimator, snr_db, k, trial, seed, *scores)
 
-    dims = dataclasses.replace(spec.dims, k_pilots=k, q_users=1, t_symbols=1)
-    noise_var = 10.0 ** (-snr_db / 10.0)
-    rng = np.random.default_rng(seed)
+
+def _single_user_cell(dims, k, entry, noise_var, rng):
+    """NMSE, SE and energies of one downlink cell with ``k`` pilots."""
+    dims = dataclasses.replace(dims, k_pilots=k, q_users=1, t_symbols=1)
     cascade, sched, obs = simulate_downlink(dims, noise_var, rng)
     h_hat = entry.estimate(obs, sched)
-
-    se = None
-    if noise_var > 0.0:
-        se = spectral_efficiency(cascade.h_e, h_hat, noise_var)
-    return ResultRecord(
-        spec.scenario, estimator, snr_db, k, trial, seed,
-        nmse(cascade.h_e, h_hat), se, *_energies([cascade.h_e], [h_hat]),
-    )
+    return (nmse(cascade.h_e, h_hat), spectral_efficiency(cascade.h_e, h_hat, noise_var),
+            *_energies([cascade.h_e], [h_hat]))
 
 
-def _multi_user_cell(spec, estimator, snr_db, k, trial, snr_index, k_index):
-    seed = trial_seed(spec.master_seed, estimator, snr_index, k_index, trial)
-    if k < UPLINK_MF.min_pilots(spec.dims.n_bs, spec.dims.m_ris):
-        return ResultRecord(
-            spec.scenario, estimator, snr_db, k, trial, seed, None, None
-        )
-
-    dims = dataclasses.replace(spec.dims, k_pilots=k)
-    noise_var = 10.0 ** (-snr_db / 10.0)
-    rng = np.random.default_rng(seed)
-    cascades, sched, obs = simulate_uplink(dims, noise_var, rng)
+def _multi_user_cell(dims, k, entry, noise_var, rng):
+    """Mean per-user NMSE, no SE, and energies of one uplink cell with ``k`` blocks."""
+    cascades, sched, obs = simulate_uplink(dataclasses.replace(dims, k_pilots=k), noise_var, rng)
     truths = [cascade.h_e for cascade in cascades]
-    h_hats = UPLINK_MF.estimate(obs, sched)
+    h_hats = entry.estimate(obs, sched)
     per_user = [nmse(h, h_hat) for h, h_hat in zip(truths, h_hats)]
-    return ResultRecord(
-        spec.scenario, estimator, snr_db, k, trial, seed,
-        float(np.mean(per_user)), None, *_energies(truths, h_hats),
-    )
+    return (float(np.mean(per_user)), None, *_energies(truths, h_hats))
 
 
 def run_sweep(spec: ExperimentSpec, n_threads: int = 1) -> list[ResultRecord]:
@@ -372,7 +367,6 @@ def run_sweep(spec: ExperimentSpec, n_threads: int = 1) -> list[ResultRecord]:
     """
     if not _is_count(n_threads):
         raise ValueError(f"n_threads must be a positive integer, got {n_threads!r}")
-    cell = _single_user_cell if spec.scenario == "single_user_downlink" else _multi_user_cell
     jobs = [
         (spec, estimator, snr_db, k, trial, snr_index, k_index)
         for estimator in spec.estimators
@@ -382,10 +376,10 @@ def run_sweep(spec: ExperimentSpec, n_threads: int = 1) -> list[ResultRecord]:
     ]
 
     if n_threads == 1:
-        records = [cell(*args) for args in jobs]
+        records = [_sweep_cell(*args) for args in jobs]
     else:
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            futures = [pool.submit(cell, *args) for args in jobs]
+            futures = [pool.submit(_sweep_cell, *args) for args in jobs]
             records = [f.result() for f in futures]
     for record in records:
         record.validate()

@@ -3,9 +3,11 @@
 After despreading, user q's data is ``S_q = a_b(psi) a_bar_q^H theta^T + N_q``
 for the (k, m) phase schedule theta, with a common BS-side angle and per-user
 RIS-side factors, so estimation splits into one 1-D search shared by all
-users followed by Q independent linear solves. Any full-rank schedule
-works; :func:`~rismf.signals.make_uplink_schedule` builds the DFT schedule,
-which attains the floor of :func:`predicted_mse`.
+users followed by one linear solve for all Q users. Both that solve and
+:func:`predicted_mse` take the :class:`~rismf.signals.UplinkSchedule` and
+read the phase-Gram factor it caches. Any full-rank schedule works;
+:func:`~rismf.signals.make_uplink_schedule` builds the DFT schedule, which
+attains the floor of :func:`predicted_mse`.
 """
 
 from __future__ import annotations
@@ -16,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .channel import _is_count, array_response
+from .channel import array_response
 from .mf import manifold_coefficients, maximize_over_manifold
-from .signals import ObservationSet, UplinkSchedule, _phase_gram_factor, despread
+from .signals import ObservationSet, UplinkSchedule, _require_uplink, despread
 
 __all__ = [
     "MultiUserEstimate",
@@ -57,63 +59,60 @@ def estimate_psi_uplink(s_list) -> float:
     return maximize_over_manifold(manifold_coefficients(stacked @ stacked.conj().T))
 
 
-def estimate_a_q(s_q: np.ndarray, phases: np.ndarray, psi_hat: float) -> np.ndarray:
+def estimate_a_q(s_q: np.ndarray, sched: UplinkSchedule, psi_hat: float) -> np.ndarray:
     """LS estimate of a user's RIS-side factor at the given angle.
 
-    ``phases`` is the (k, m) schedule theta. The textbook solution is the
-    conjugated pseudoinverse of the (n k, m) matrix ``theta kron a_b`` applied
-    to vec(S_q). Because the left factor has unit norm, the Gram collapses to
-    the (m, m) Gram of the phase schedule, so the same estimate is
+    ``sched.phases`` is the (k, m) schedule theta. The textbook solution is
+    the conjugated pseudoinverse of the (n k, m) matrix ``theta kron a_b``
+    applied to vec(S_q). Because the left factor has unit norm, the Gram
+    collapses to the (m, m) Gram of the phase schedule, so the same estimate is
 
         a_bar = (theta^T conj(theta))^{-1} theta^T S_q^H a_b(psi_hat),
 
-    computed here without forming the Kronecker matrix. ``s_q`` is one
-    despread user, shape (n_bs, k), giving shape (m,), or a stack of them,
-    shape (q, n_bs, k), giving shape (q, m) from one Cholesky factor.
+    computed here without forming the Kronecker matrix, against the Cholesky
+    factor the schedule caches (:attr:`~rismf.signals.UplinkSchedule.phase_gram_factor`).
+    ``s_q`` is one despread user, shape (n_bs, k), giving shape (m,), or a
+    stack of them, shape (q, n_bs, k), giving shape (q, m). To solve against
+    a bare phase array, wrap it: ``UplinkSchedule(phases, orthogonal_user_pilots(1, 1))``.
     """
-    return _solve_a_q(s_q, phases, _phase_gram_factor(phases), psi_hat)
-
-
-def _solve_a_q(s_q: np.ndarray, phases: np.ndarray, factor, psi_hat: float) -> np.ndarray:
-    """:func:`estimate_a_q` against a given Cholesky factor of the phase Gram."""
+    _require_uplink(sched, "estimate_a_q")
     a_b = array_response(s_q.shape[-2], psi_hat)
     projected = s_q.conj().swapaxes(-1, -2) @ a_b  # (k,) or (q, k)
-    return scipy.linalg.cho_solve(factor, phases.T @ projected.T, check_finite=False).T
+    rhs = sched.phases.T @ projected.T
+    return scipy.linalg.cho_solve(sched.phase_gram_factor, rhs, check_finite=False).T
 
 
-def predicted_mse(noise_var: float, t_symbols: int, phases: np.ndarray) -> float:
+def predicted_mse(noise_var: float, sched: UplinkSchedule) -> float:
     """Schedule-dependent MSE of the stage-2 estimate.
 
     Equals ``(noise_var / T) trace((theta^H theta)^{-1})`` for the (k, m)
-    schedule theta; the angle drops out because the steering vector has unit
-    norm. Minimized exactly when ``theta^H theta = K I`` (e.g. the DFT
-    schedule), where the value is ``noise_var m_ris / (K T)``. The trace is
-    the squared Frobenius norm of the inverse Cholesky factor, which LAPACK
-    ``trtri`` inverts in place of a solve against the identity. A
-    ``t_symbols`` that is not a positive integer, or a negative or
-    non-finite ``noise_var``, is a ``ValueError``.
+    phases theta and the block length T of ``sched``; the angle drops out
+    because the steering vector has unit norm. Minimized exactly when
+    ``theta^H theta = K I`` (e.g. the DFT schedule), where the value is
+    ``noise_var m_ris / (K T)``. The trace is the squared Frobenius norm of
+    the inverse of the schedule's cached Cholesky factor, which LAPACK
+    ``trtri`` inverts in place of a solve against the identity. A negative
+    or non-finite ``noise_var`` is a ``ValueError``.
     """
-    if not _is_count(t_symbols):
-        raise ValueError(f"t_symbols must be a positive integer, got {t_symbols!r}")
+    _require_uplink(sched, "predicted_mse")
     if not (math.isfinite(noise_var) and noise_var >= 0.0):
         raise ValueError(f"noise_var must be finite and nonnegative, got {noise_var}")
-    triangle, lower = _phase_gram_factor(phases)
+    triangle, lower = sched.phase_gram_factor
     # cho_factor leaves Gram entries in the factor's unused triangle
     inverse, _ = _TRTRI(np.tril(triangle) if lower else np.triu(triangle), lower=lower)
-    return float(noise_var / t_symbols * np.sum(np.abs(inverse) ** 2))
+    return float(noise_var / sched.t_symbols * np.sum(np.abs(inverse) ** 2))
 
 
 def estimate_multi_user(obs: ObservationSet, sched: UplinkSchedule) -> MultiUserEstimate:
     """Despread every user, estimate the shared angle, then solve per user.
 
-    Stage 2 equals ``estimate_a_q(despread(obs, sched), sched.phases, psi_hat)``
-    but reuses ``sched.phase_gram_factor``. The stage-2 floor at a known
-    angle is the same solve at the true angle, which :func:`predicted_mse`
-    predicts.
+    Stage 2 is one ``estimate_a_q(despread(obs, sched), sched, psi_hat)`` for
+    all users. The stage-2 floor at a known angle is the same solve at the
+    true angle, which :func:`predicted_mse` predicts.
     """
     despread_all = despread(obs, sched)
     psi_hat = estimate_psi_uplink(despread_all)
-    a_bar_hats = _solve_a_q(despread_all, sched.phases, sched.phase_gram_factor, psi_hat)
+    a_bar_hats = estimate_a_q(despread_all, sched, psi_hat)
     a_b = array_response(obs.values.shape[1], psi_hat)
     h_hats = a_b[None, :, None] * a_bar_hats.conj()[:, None, :]
     return MultiUserEstimate(psi_hat=psi_hat, a_bar_hats=a_bar_hats, h_hats=h_hats)

@@ -8,7 +8,8 @@ downlink schedule as ``PilotSchedule(pilots, dft_phase_schedule(m, k))``.
 
 The uplink schedule draws nothing, so :func:`make_uplink_schedule` hands
 every caller and sweep thread one cached, read-only :class:`UplinkSchedule`
-per set of dimensions, together with the phase-Gram factor it caches.
+per set of dimensions; its :attr:`~UplinkSchedule.phase_gram_factor` serves
+every stage-2 solve and MSE prediction on it.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import CascadedChannel, SystemDims, _cholesky, complex_normal
+from .channel import CascadedChannel, SystemDims, _cholesky, _is_count, complex_normal
 
 __all__ = [
     "PilotSchedule",
@@ -52,8 +53,11 @@ class PilotSchedule:
     phases: np.ndarray
 
     def __post_init__(self):
-        if self.pilots.ndim != 2 or self.phases.ndim != 2:
-            raise ValueError("pilots and phases must be 2-D arrays")
+        if any(a.ndim != 2 or a.size == 0 for a in (self.pilots, self.phases)):
+            raise ValueError(
+                f"pilots (k, n_bs) and phases (k, m_ris) must be non-empty 2-D arrays, "
+                f"got {self.pilots.shape} and {self.phases.shape}"
+            )
         if self.pilots.shape[0] != self.phases.shape[0]:
             raise ValueError(
                 f"slot count mismatch: {self.pilots.shape[0]} pilots vs "
@@ -102,8 +106,11 @@ class UplinkSchedule:
     user_pilots: np.ndarray
 
     def __post_init__(self):
-        if self.phases.ndim != 2 or self.user_pilots.ndim != 2:
-            raise ValueError("phases (k, m_ris) and user_pilots (q_users, t_symbols) must be 2-D")
+        if any(a.ndim != 2 or a.size == 0 for a in (self.phases, self.user_pilots)):
+            raise ValueError(
+                f"phases (k, m_ris) and user_pilots (q_users, t_symbols) must be non-empty "
+                f"2-D arrays, got {self.phases.shape} and {self.user_pilots.shape}"
+            )
         if not np.abs(np.abs(self.phases) - 1.0).max() <= _UNIT_TOL:
             raise ValueError("every phase entry must have unit modulus")
         q_users, t_symbols = self.user_pilots.shape
@@ -124,9 +131,12 @@ class UplinkSchedule:
 
     @functools.cached_property
     def phase_gram_factor(self) -> tuple[np.ndarray, bool]:
-        """:func:`_phase_gram_factor` of ``phases``, computed on first use and
-        kept, read-only, for the schedule's lifetime."""
-        triangle, lower = _phase_gram_factor(self.phases)
+        """Cholesky factor of the (m, m) phase Gram ``theta^T conj(theta)``, checked for
+        full rank by :func:`~rismf.channel._cholesky`; computed once, kept read-only."""
+        k, m_ris = self.phases.shape
+        if k < m_ris:
+            raise ValueError(f"stage-2 LS needs k >= m_ris, got k={k}, m_ris={m_ris}")
+        triangle, lower = _cholesky(self.phases.T @ self.phases.conj())
         triangle.flags.writeable = False
         return triangle, lower
 
@@ -183,8 +193,12 @@ def orthogonal_user_pilots(q_users: int, t_symbols: int) -> np.ndarray:
     """Mutually orthogonal unit-modulus pilots, shape (q_users, t_symbols).
 
     Row q is ``exp(-j 2 pi q t / T)``; distinct rows are orthogonal with
-    ``x_q x_p^H = T delta_qp``. Requires ``t_symbols >= q_users``.
+    ``x_q x_p^H = T delta_qp``. Requires positive integer counts with
+    ``t_symbols >= q_users``.
     """
+    for name, count in (("q_users", q_users), ("t_symbols", t_symbols)):
+        if not _is_count(count):
+            raise ValueError(f"{name} must be a positive integer, got {count!r}")
     if t_symbols < q_users:
         raise ValueError(
             f"orthogonal pilots need t_symbols >= q_users, got {t_symbols} < {q_users}"
@@ -217,15 +231,6 @@ def _dft_uplink_schedule(m_ris: int, k: int, q_users: int, t_symbols: int) -> Up
     phases.flags.writeable = False
     user_pilots.flags.writeable = False
     return UplinkSchedule(phases, user_pilots)
-
-
-def _phase_gram_factor(phases: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Cholesky factor of the (m, m) Gram ``theta^T conj(theta)`` of a (k, m)
-    phase schedule, checked for full rank by :func:`~rismf.channel._cholesky`."""
-    k, m_ris = phases.shape
-    if k < m_ris:
-        raise ValueError(f"stage-2 LS needs k >= m_ris, got k={k}, m_ris={m_ris}")
-    return _cholesky(phases.T @ phases.conj())
 
 
 def downlink_observe(

@@ -139,6 +139,9 @@ class TestSweepCommands:
         dict(estimators="MF_AM"),
         dict(estimators=["MF_AM", "MF_AM"]),
         dict(schedule_kind="random"),
+        # 10^(-SNR/10) overflows to inf, or underflows to a noiseless 0
+        dict(snr_grid_db=[-4000.0]),
+        dict(snr_grid_db=[4000.0]),
     ])
     def test_malformed_spec_exits_1(self, tmp_path, capsys, overrides):
         overrides = dict(overrides)

@@ -33,6 +33,7 @@ from rismf import (
     uplink_observe,
     write_results,
 )
+from rismf import experiments, multiuser
 from rismf.experiments import _rate
 
 
@@ -262,6 +263,10 @@ class TestExperimentSpec:
         ("estimators", "MF_AM"),
         ("estimators", ["LR", "LR"]),
         ("estimators", {"LR": 1}),
+        # 10^(-SNR/10) overflows to inf, underflows to a noiseless 0, or is inf
+        ("snr_grid_db", [-4000.0]),
+        ("snr_grid_db", [10.0, 4000.0]),
+        ("snr_grid_db", [float("-inf")]),
     ])
     def test_rejects_malformed_field(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -467,6 +472,8 @@ class TestPersistence:
         ("estimator", 5), ("error_energy", float("nan")), ("error_energy", -0.5),
         ("error_energy", "0.5"), ("error_energy", None), ("reference_energy", 0.0),
         ("reference_energy", float("inf")), ("reference_energy", None),
+        ("snr_db", True), ("nmse", True), ("se", False), ("error_energy", True),
+        ("reference_energy", True),
     ])
     def test_invalid_json_field_rejected(self, tmp_path, name, value):
         raw = dataclasses.asdict(ResultRecord("single_user_downlink", "LS", 0.0, 3, 0, 17, 0.5, None,
@@ -558,3 +565,51 @@ class TestCellEnergies:
             aggregate_nmse(run_sweep(tiny_spec(estimators=("LS",), k_grid=[6])))
         with pytest.raises(ValueError):
             aggregate_nmse([])
+
+
+class TestRebindableEntryPoints:
+    """A span tracer wraps the sweep's cell bodies and the uplink stage-2 solve
+    by rebinding their module-global names. Every call must go through those
+    names, so a counting wrapper sees each cell body once per feasible cell and
+    ``estimate_a_q`` once per ``estimate_multi_user`` call."""
+
+    @staticmethod
+    def count_calls(monkeypatch, module, name):
+        calls = []
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("n_threads", [1, 2])
+    def test_one_body_call_per_feasible_cell(self, monkeypatch, n_threads):
+        single = self.count_calls(monkeypatch, experiments, "_single_user_cell")
+        multi = self.count_calls(monkeypatch, experiments, "_multi_user_cell")
+        stage_two = self.count_calls(monkeypatch, multiuser, "estimate_a_q")
+
+        # LR needs m + n = 10 pilots, so its K=6 cells are infeasible
+        down = run_sweep(tiny_spec(), n_threads=n_threads)
+        feasible = sum(r.nmse is not None for r in down)
+        assert 0 < feasible < len(down)
+        assert (len(single), len(multi), len(stage_two)) == (feasible, 0, 0)
+
+        # MF needs k >= m = 6 blocks, so the K=4 cells are infeasible
+        dims = SystemDims(n_bs=4, m_ris=6, q_users=2, t_symbols=2)
+        up = run_sweep(tiny_spec(scenario="multi_user_uplink", dims=dims, estimators=(),
+                                 k_grid=[4, 6, 12]), n_threads=n_threads)
+        feasible_up = sum(r.nmse is not None for r in up)
+        assert 0 < feasible_up < len(up)
+        assert (len(single), len(multi), len(stage_two)) == (feasible, feasible_up, feasible_up)
+
+    def test_stage_two_once_per_multi_user_estimate(self, monkeypatch):
+        stage_two = self.count_calls(monkeypatch, multiuser, "estimate_a_q")
+        dims = SystemDims(n_bs=4, m_ris=6, k_pilots=12, q_users=3, t_symbols=3)
+        _, sched, obs = simulate_uplink(dims, 0.1, np.random.default_rng(5))
+        for _ in range(3):
+            estimate_multi_user(obs, sched)
+        assert len(stage_two) == 3
+        assert stage_two[0][1] is sched

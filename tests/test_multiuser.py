@@ -10,12 +10,18 @@ from rismf import (
     estimate_multi_user,
     make_uplink_schedule,
     nmse,
+    orthogonal_user_pilots,
     random_phase_schedule,
     sample_channel,
     uplink_observe,
 )
 from rismf.multiuser import estimate_a_q, estimate_psi_uplink, predicted_mse
 from rismf.signals import ObservationSet
+
+
+def on_schedule(phases, t_symbols=1):
+    """A one-user uplink schedule on the given (k, m) phases."""
+    return UplinkSchedule(phases, orthogonal_user_pilots(1, t_symbols))
 
 
 def circular_distance(a, b):
@@ -62,12 +68,12 @@ class TestEstimateAQ:
         a_q = rng.standard_normal(12) + 1j * rng.standard_normal(12)
         phase = dft_phase_schedule(12, 24)
         s_q = np.outer(a_b, a_q.conj()) @ phase.T
-        a_hat = estimate_a_q(s_q, phase, psi)
+        a_hat = estimate_a_q(s_q, on_schedule(phase), psi)
         assert np.linalg.norm(a_hat - a_q) / np.linalg.norm(a_q) <= 1e-10
 
     def test_zero_data_gives_zero_estimate(self):
         phase = dft_phase_schedule(6, 12)
-        a_hat = estimate_a_q(np.zeros((4, 12), dtype=complex), phase, 0.2)
+        a_hat = estimate_a_q(np.zeros((4, 12), dtype=complex), on_schedule(phase), 0.2)
         assert np.linalg.norm(a_hat) <= 1e-12
 
     def test_matches_kronecker_least_squares(self):
@@ -82,46 +88,55 @@ class TestEstimateAQ:
             design = np.kron(phase, a_b[:, None])
             reference, *_ = np.linalg.lstsq(design, s_q.reshape(-1, order="F"), rcond=None)
             reference = reference.conj()
-            fast = estimate_a_q(s_q, phase, psi)
+            fast = estimate_a_q(s_q, on_schedule(phase), psi)
             np.testing.assert_allclose(fast, reference, atol=1e-9)
 
     def test_stacked_users_match_per_user_calls(self):
         chan, g_up, sched, obs = make_uplink_case(223, noise_var=0.5)
         stack = despread(obs, sched)
         psi = estimate_psi_uplink(stack)
-        stacked = estimate_a_q(stack, sched.phases, psi)
+        stacked = estimate_a_q(stack, sched, psi)
         assert stacked.shape == (sched.q_users, 50)
         for s_q, a_hat in zip(stack, stacked):
-            single = estimate_a_q(s_q, sched.phases, psi)
+            single = estimate_a_q(s_q, sched, psi)
             assert np.linalg.norm(a_hat - single) <= 1e-12 * np.linalg.norm(single)
 
     def test_short_schedule_rejected(self):
         phase = dft_phase_schedule(6, 6)[:5]
         with pytest.raises(ValueError):
-            estimate_a_q(np.zeros((4, 5), dtype=complex), phase, 0.1)
+            estimate_a_q(np.zeros((4, 5), dtype=complex), on_schedule(phase), 0.1)
 
     def test_rank_deficient_schedule_rejected(self):
         phase = np.ones((8, 4), dtype=complex)
         with pytest.raises(ValueError):
-            estimate_a_q(np.ones((3, 8), dtype=complex), phase, 0.1)
+            estimate_a_q(np.ones((3, 8), dtype=complex), on_schedule(phase), 0.1)
+
+
+    def test_bare_phases_rejected(self):
+        # the solve reads the factor the schedule caches; bare phases have none
+        phase = dft_phase_schedule(6, 12)
+        with pytest.raises(ValueError, match="estimate_a_q needs an UplinkSchedule"):
+            estimate_a_q(np.zeros((4, 12), dtype=complex), phase, 0.2)
+        with pytest.raises(ValueError, match="predicted_mse needs an UplinkSchedule"):
+            predicted_mse(1.0, phase)
 
 
 class TestPredictedMse:
     def test_dft_schedule_closed_form(self):
         phase = dft_phase_schedule(16, 32)
-        value = predicted_mse(1.0, 4, phase)
+        value = predicted_mse(1.0, on_schedule(phase, 4))
         np.testing.assert_allclose(value, 16 / (32 * 4), rtol=1e-12)
 
     def test_zero_noise_gives_zero(self):
         phase = dft_phase_schedule(8, 16)
-        assert predicted_mse(0.0, 3, phase) == 0.0
+        assert predicted_mse(0.0, on_schedule(phase, 3)) == 0.0
 
     def test_dft_minimizes_over_random_schedules(self):
         rng = np.random.default_rng(231)
-        floor = predicted_mse(1.0, 2, dft_phase_schedule(8, 20))
+        floor = predicted_mse(1.0, on_schedule(dft_phase_schedule(8, 20), 2))
         for _ in range(20):
             random_phase = random_phase_schedule(8, 20, rng)
-            assert predicted_mse(1.0, 2, random_phase) >= floor - 1e-12
+            assert predicted_mse(1.0, on_schedule(random_phase, 2)) >= floor - 1e-12
 
     def test_random_schedule_matches_explicit_inverse(self):
         # off the DFT design the Gram has off-diagonal entries, which the
@@ -130,21 +145,23 @@ class TestPredictedMse:
         for _ in range(20):
             phase = random_phase_schedule(8, 20, rng)
             reference = 0.7 / 3 * np.trace(np.linalg.inv(phase.conj().T @ phase)).real
-            np.testing.assert_allclose(predicted_mse(0.7, 3, phase), reference, rtol=1e-12)
+            np.testing.assert_allclose(predicted_mse(0.7, on_schedule(phase, 3)), reference,
+                                       rtol=1e-12)
 
     def test_scales_linearly_with_noise(self):
         phase = dft_phase_schedule(8, 16)
         np.testing.assert_allclose(
-            predicted_mse(3.0, 2, phase), 3.0 * predicted_mse(1.0, 2, phase), rtol=1e-12
+            predicted_mse(3.0, on_schedule(phase, 2)),
+            3.0 * predicted_mse(1.0, on_schedule(phase, 2)), rtol=1e-12,
         )
 
     def test_rank_deficient_schedule_rejected(self):
         with pytest.raises(ValueError, match="rank deficient"):
-            predicted_mse(1.0, 2, np.ones((8, 4), dtype=complex))
+            predicted_mse(1.0, on_schedule(np.ones((8, 4), dtype=complex), 2))
 
     def test_short_schedule_rejected(self):
         with pytest.raises(ValueError, match="k >= m_ris"):
-            predicted_mse(1.0, 2, dft_phase_schedule(6, 6)[:5])
+            predicted_mse(1.0, on_schedule(dft_phase_schedule(6, 6)[:5], 2))
 
     @pytest.mark.parametrize("noise_var, t_symbols, field", [
         (1.0, 0, "t_symbols"), (1.0, -2, "t_symbols"), (1.0, 1.5, "t_symbols"),
@@ -152,8 +169,9 @@ class TestPredictedMse:
         (float("inf"), 2, "noise_var"),
     ])
     def test_bad_noise_or_block_length_rejected(self, noise_var, t_symbols, field):
+        # the block length is the schedule's: its pilot block rejects a bad one
         with pytest.raises(ValueError, match=field):
-            predicted_mse(noise_var, t_symbols, dft_phase_schedule(8, 16))
+            predicted_mse(noise_var, on_schedule(dft_phase_schedule(8, 16), t_symbols))
 
 
 class TestSharedRankCheck:
@@ -169,16 +187,17 @@ class TestSharedRankCheck:
     def test_ill_conditioned_schedule_accepted(self):
         # Gram condition number 9e7, below the limit of 1e12
         phase = self.near_parallel_schedule(1e-4)
-        assert np.isfinite(estimate_a_q(np.ones((3, 8), dtype=complex), phase, 0.1)).all()
-        assert np.isfinite(predicted_mse(1.0, 2, phase))
+        data = np.ones((3, 8), dtype=complex)
+        assert np.isfinite(estimate_a_q(data, on_schedule(phase), 0.1)).all()
+        assert np.isfinite(predicted_mse(1.0, on_schedule(phase, 2)))
 
     def test_numerically_singular_schedule_rejected(self):
         # Gram condition number 9e13: Cholesky succeeds, the condition estimate does not
         phase = self.near_parallel_schedule(1e-7)
         with pytest.raises(ValueError, match="rank deficient"):
-            estimate_a_q(np.ones((3, 8), dtype=complex), phase, 0.1)
+            estimate_a_q(np.ones((3, 8), dtype=complex), on_schedule(phase), 0.1)
         with pytest.raises(ValueError, match="rank deficient"):
-            predicted_mse(1.0, 2, phase)
+            predicted_mse(1.0, on_schedule(phase, 2))
 
 
 class TestEstimateMultiUser:
@@ -210,13 +229,13 @@ class TestEstimateMultiUser:
         from rismf import signals
 
         calls = []
-        original = signals._phase_gram_factor
+        original = signals._cholesky
 
-        def counted(phases):
-            calls.append(phases)
-            return original(phases)
+        def counted(gram):
+            calls.append(gram)
+            return original(gram)
 
-        monkeypatch.setattr(signals, "_phase_gram_factor", counted)
+        monkeypatch.setattr(signals, "_cholesky", counted)
         _, _, cached, obs = make_uplink_case(246, noise_var=0.5)
         # a schedule built by hand is not in make_uplink_schedule's cache
         sched = UplinkSchedule(cached.phases.copy(), cached.user_pilots.copy())
@@ -240,13 +259,13 @@ class TestEstimateMultiUser:
             chan, g_up, sched, obs = make_uplink_case(
                 2450 + seed, n_bs=8, m_ris=12, k=24, q=2, t=2, noise_var=1.0
             )
-            a_bar_hats = estimate_a_q(despread(obs, sched), sched.phases, chan.psi)
+            a_bar_hats = estimate_a_q(despread(obs, sched), sched, chan.psi)
             for q in range(2):
                 a_true = (g_up * chan.h_users[q][None, :]).conj().T @ array_response(8, chan.psi)
                 errors.append(np.sum(np.abs(a_bar_hats[q] - a_true) ** 2))
                 total += 1
-        predicted = predicted_mse(1.0, 2, make_uplink_schedule(
+        predicted = predicted_mse(1.0, make_uplink_schedule(
             SystemDims(n_bs=8, m_ris=12, k_pilots=24, q_users=2, t_symbols=2)
-        ).phases)
+        ))
         empirical = float(np.mean(errors))
         assert abs(empirical / predicted - 1.0) <= 0.1

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,14 @@ class TestScheduleGenerators:
     def test_user_pilots_need_enough_symbols(self):
         with pytest.raises(ValueError):
             orthogonal_user_pilots(5, 4)
+
+    @pytest.mark.parametrize("q_users, t_symbols, field", [
+        (1, 0, "t_symbols"), (1, 1.5, "t_symbols"), (1, True, "t_symbols"),
+        (0, 2, "q_users"), (2.0, 2, "q_users"),
+    ])
+    def test_user_pilots_need_positive_integer_counts(self, q_users, t_symbols, field):
+        with pytest.raises(ValueError, match=field):
+            orthogonal_user_pilots(q_users, t_symbols)
 
     def test_random_pilots_unit_norm(self):
         pilots = random_pilots(6, 20, np.random.default_rng(4))
@@ -134,6 +144,27 @@ class TestScheduleTypes:
         pilots[1, 2] = np.nan
         with pytest.raises(ValueError, match="unit norm"):
             PilotSchedule(pilots=pilots, phases=dft_phase_schedule(3, 3))
+
+    @pytest.mark.parametrize("phases, user_pilots", [
+        (dft_phase_schedule(4, 8), np.ones((1, 0), dtype=complex)),   # no pilot symbols
+        (dft_phase_schedule(4, 8), np.ones((0, 2), dtype=complex)),   # no users
+        (np.ones((0, 4), dtype=complex), np.ones((1, 1), dtype=complex)),  # no blocks
+        (np.ones((8, 0), dtype=complex), np.ones((1, 1), dtype=complex)),  # no RIS elements
+    ])
+    def test_uplink_schedule_rejects_empty_arrays(self, phases, user_pilots):
+        shapes = re.escape(f"got {phases.shape} and {user_pilots.shape}")
+        with pytest.raises(ValueError, match="non-empty.*" + shapes):
+            UplinkSchedule(phases=phases, user_pilots=user_pilots)
+
+    @pytest.mark.parametrize("pilots, phases", [
+        (np.ones((0, 4), dtype=complex), np.ones((0, 3), dtype=complex)),  # no slots
+        (np.ones((2, 0), dtype=complex), np.ones((2, 3), dtype=complex)),  # no BS antennas
+        (random_pilots(4, 2, np.random.default_rng(7)), np.ones((2, 0), dtype=complex)),
+    ])
+    def test_pilot_schedule_rejects_empty_arrays(self, pilots, phases):
+        shapes = re.escape(f"got {pilots.shape} and {phases.shape}")
+        with pytest.raises(ValueError, match="non-empty.*" + shapes):
+            PilotSchedule(pilots=pilots, phases=phases)
 
     def test_both_links_share_the_dft_layout(self):
         # a DFT downlink schedule is built by hand
