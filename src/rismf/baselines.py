@@ -5,7 +5,10 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from .mf import EstimateResult, _misfit, _rounding_floor, _scaled_lstsq, _stalled, spectral_matrix
+from .mf import (
+    EstimateResult, _misfit, _one_blas_thread, _rounding_floor, _scaled_lstsq, _stalled,
+    spectral_matrix,
+)
 from .signals import ObservationSet, PilotSchedule
 
 __all__ = ["ls_full", "lr_rankone"]
@@ -53,6 +56,7 @@ def ls_full(obs: ObservationSet, sched: PilotSchedule) -> np.ndarray:
     return vec.reshape(n_bs, m_ris).T
 
 
+@_one_blas_thread()
 def lr_rankone(obs: ObservationSet, sched: PilotSchedule) -> EstimateResult:
     """Alternating LS for ``r_k = theta_k^T u v^H x_k`` with free ``u`` and ``v``.
 
@@ -60,7 +64,8 @@ def lr_rankone(obs: ObservationSet, sched: PilotSchedule) -> EstimateResult:
     step is an exact LS solve (k >= m_ris for the u step, k >= n_bs for the v
     step), so the objective never increases. Unlike the structured estimator,
     ``v`` is not constrained to the steering manifold, and the result carries
-    no angle. ``v`` is kept at unit norm, with the magnitude in ``u``.
+    no angle. ``v`` is kept at unit norm, with the magnitude in ``u``. Runs
+    numpy's BLAS on one thread (:func:`~rismf.mf._one_blas_thread`).
     """
     s_matrix = spectral_matrix(obs, sched)
     left, sing, right_h = np.linalg.svd(s_matrix, full_matrices=False)

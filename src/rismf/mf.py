@@ -15,7 +15,11 @@ initialization.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import threading
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import scipy.linalg
@@ -113,6 +117,53 @@ def _stalled(history: list[float], floor: float) -> bool:
     most a ``_TOL_OBJECTIVE`` fraction, or the misfit is at ``floor``."""
     prev, curr = history[-2], history[-1]
     return curr <= floor or (prev - curr) <= _TOL_OBJECTIVE * prev
+
+
+def _numpy_openblas_threads():
+    """Getter and setter of the thread count of the OpenBLAS bundled with
+    numpy's wheel in ``numpy.libs``; None when numpy links another BLAS."""
+    for path in (Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*"):
+        lib = ctypes.CDLL(str(path))
+        for suffix in ("64_", ""):
+            if hasattr(lib, f"scipy_openblas_get_num_threads{suffix}"):
+                return (getattr(lib, f"scipy_openblas_get_num_threads{suffix}"),
+                        getattr(lib, f"scipy_openblas_set_num_threads{suffix}"))
+    return None
+
+
+_NUMPY_BLAS = _numpy_openblas_threads()
+_blas_lock = threading.Lock()
+_blas_holders = 0  # solver calls now inside _one_blas_thread
+_blas_restore = 1  # numpy's BLAS thread count when the first of them entered
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run numpy's BLAS on one thread while any iterative solver runs.
+
+    The solvers' products, on (k, m_ris)-sized operands, are too small to gain
+    from BLAS threads, which only added spread between runs and rounding that
+    depended on the core count (see the README). The count is process-wide:
+    concurrent holders share it, and the last to leave restores what the
+    first found.
+    """
+    global _blas_holders, _blas_restore
+    if _NUMPY_BLAS is None:
+        yield
+        return
+    get_threads, set_threads = _NUMPY_BLAS
+    with _blas_lock:
+        if _blas_holders == 0:
+            _blas_restore = get_threads()
+            set_threads(1)
+        _blas_holders += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_holders -= 1
+            if _blas_holders == 0:
+                set_threads(_blas_restore)
 
 
 def _scaled_lstsq(gains: np.ndarray, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -351,6 +402,7 @@ def gd_iterate(
     return a_bar, psi, value
 
 
+@_one_blas_thread()
 def estimate_single_user(
     obs: ObservationSet,
     sched: PilotSchedule,
@@ -361,7 +413,7 @@ def estimate_single_user(
     Stops at the shared stop rule (:func:`_stalled`) or after ``max_iters``
     sweeps. The estimator is deterministic in the data; only the (a_bar,
     psi) product is identifiable, and the returned ``h_e_hat`` is that
-    product.
+    product. Runs numpy's BLAS on one thread (:func:`_one_blas_thread`).
     """
     config = config or MfConfig()
     if config.solver not in ("am", "gd"):

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -22,6 +24,7 @@ from rismf import (
     simulate_downlink,
     simulate_uplink,
 )
+from rismf import baselines, mf
 from rismf.channel import steering_matrix
 from rismf.mf import (
     _angle_coefficients,
@@ -445,6 +448,72 @@ class TestEstimateSingleUser:
             estimate_single_user(
                 ObservationSet(values=values, noise_var=0.1), sched, MfConfig(solver=solver)
             )
+
+
+@pytest.mark.skipif(mf._NUMPY_BLAS is None, reason="numpy does not bundle OpenBLAS")
+class TestOneBlasThread:
+    """The iterative solvers run numpy's BLAS on one thread and restore the count."""
+
+    SOLVERS = {
+        "am": lambda obs, sched: estimate_single_user(obs, sched).h_e_hat,
+        "gd": lambda obs, sched: estimate_single_user(obs, sched, MfConfig(solver="gd")).h_e_hat,
+        "lr": lambda obs, sched: lr_rankone(obs, sched).h_e_hat,
+    }
+
+    @pytest.fixture
+    def threads_seen(self, monkeypatch):
+        """BLAS thread counts seen on entry to each solver (both call spectral_matrix first)."""
+        get_threads, set_threads = mf._NUMPY_BLAS
+        seen = []
+
+        def recording(obs, sched):
+            seen.append(get_threads())
+            return spectral_matrix(obs, sched)
+
+        monkeypatch.setattr(mf, "spectral_matrix", recording)
+        monkeypatch.setattr(baselines, "spectral_matrix", recording)
+        before = get_threads()
+        set_threads(2)
+        yield seen
+        set_threads(before)
+
+    @pytest.mark.parametrize("solver", sorted(SOLVERS))
+    def test_one_thread_inside_count_restored_after(self, threads_seen, solver):
+        _, sched, _, obs = make_case(187, noise_var=0.1)
+        self.SOLVERS[solver](obs, sched)
+        assert threads_seen == [1]
+        assert mf._NUMPY_BLAS[0]() == 2
+
+    @pytest.mark.parametrize("solver", sorted(SOLVERS))
+    def test_estimate_independent_of_callers_thread_count(self, threads_seen, solver):
+        # at the paper's sizes two-thread products round differently from one-thread ones
+        _, sched, _, obs = make_case(188, n_bs=32, m_ris=50, k=400, noise_var=0.1)
+        estimates = []
+        for count in (1, 2):
+            mf._NUMPY_BLAS[1](count)
+            estimates.append(self.SOLVERS[solver](obs, sched))
+        np.testing.assert_array_equal(*estimates)
+
+    def test_overlapping_calls_restore_count_once_all_leave(self, threads_seen, monkeypatch):
+        # each call waits inside the scope until the other has entered it
+        barrier = threading.Barrier(2, timeout=30)
+        recording = mf.spectral_matrix
+
+        def overlapping(obs, sched):
+            barrier.wait()
+            return recording(obs, sched)
+
+        monkeypatch.setattr(mf, "spectral_matrix", overlapping)
+        monkeypatch.setattr(baselines, "spectral_matrix", overlapping)
+        _, sched, _, obs = make_case(189, noise_var=0.1)
+        workers = [threading.Thread(target=self.SOLVERS[name], args=(obs, sched))
+                   for name in ("am", "lr")]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join()
+        assert threads_seen == [1, 1]
+        assert mf._NUMPY_BLAS[0]() == 2
 
 
 class TestMfConfig:
