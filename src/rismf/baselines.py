@@ -5,10 +5,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from .mf import (
-    EstimateResult, _misfit, _one_blas_thread, _rounding_floor, _scaled_lstsq, _stalled,
-    spectral_matrix,
-)
+from .mf import EstimateResult, _misfit, _scaled_lstsq, _solve, spectral_matrix
 from .signals import ObservationSet, PilotSchedule
 
 __all__ = ["ls_full", "lr_rankone"]
@@ -56,7 +53,23 @@ def ls_full(obs: ObservationSet, sched: PilotSchedule) -> np.ndarray:
     return vec.reshape(n_bs, m_ris).T
 
 
-@_one_blas_thread()
+def _svd_start(obs: ObservationSet, sched: PilotSchedule):
+    """Top singular pair of the spectral matrix and its misfit."""
+    left, sing, right_h = np.linalg.svd(spectral_matrix(obs, sched), full_matrices=False)
+    u = left[:, 0] * sing[0]
+    v = right_h[0, :].conj()
+    return u, v, _misfit(u, v, obs, sched)
+
+
+def _lr_sweep(u: np.ndarray, v: np.ndarray, value, obs: ObservationSet, sched: PilotSchedule):
+    """Exact LS in ``u``, then in ``v``; ``v`` is rescaled to unit norm."""
+    u = _scaled_lstsq(sched.pilots @ v.conj(), sched.phases, obs.values)
+    v = _scaled_lstsq(sched.phases @ u, sched.pilots, obs.values).conj()
+    norm_v = np.linalg.norm(v)
+    u, v = u * norm_v, v / norm_v
+    return u, v, _misfit(u, v, obs, sched)
+
+
 def lr_rankone(obs: ObservationSet, sched: PilotSchedule) -> EstimateResult:
     """Alternating LS for ``r_k = theta_k^T u v^H x_k`` with free ``u`` and ``v``.
 
@@ -64,27 +77,10 @@ def lr_rankone(obs: ObservationSet, sched: PilotSchedule) -> EstimateResult:
     step is an exact LS solve (k >= m_ris for the u step, k >= n_bs for the v
     step), so the objective never increases. Unlike the structured estimator,
     ``v`` is not constrained to the steering manifold, and the result carries
-    no angle. ``v`` is kept at unit norm, with the magnitude in ``u``. Runs
-    numpy's BLAS on one thread (:func:`~rismf.mf._one_blas_thread`).
+    no angle. ``v`` is kept at unit norm, with the magnitude in ``u``. Sweeps
+    run under the stop rule of :func:`~rismf.mf._solve`, at most 300 of them.
     """
-    s_matrix = spectral_matrix(obs, sched)
-    left, sing, right_h = np.linalg.svd(s_matrix, full_matrices=False)
-    u = left[:, 0] * sing[0]
-    v = right_h[0, :].conj()
-
-    floor = _rounding_floor(obs)
-    history = [_misfit(u, v, obs, sched)]
-    converged = False
-    for _ in range(_LR_MAX_ITERS):
-        u = _scaled_lstsq(sched.pilots @ v.conj(), sched.phases, obs.values)
-        v = _scaled_lstsq(sched.phases @ u, sched.pilots, obs.values).conj()
-        norm_v = np.linalg.norm(v)
-        u, v = u * norm_v, v / norm_v
-        history.append(_misfit(u, v, obs, sched))
-        if _stalled(history, floor):
-            converged = True
-            break
-
+    (u, v), history, converged = _solve(_svd_start, _lr_sweep, obs, sched, _LR_MAX_ITERS)
     return EstimateResult(
         a_bar_hat=u, a_b_hat=v, psi_hat=None, converged=converged, objective_history=history
     )

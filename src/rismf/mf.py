@@ -10,12 +10,13 @@ Two solvers are provided: safeguarded alternating minimization (exact LS in
 ``a_bar`` alternated with a 1-D search in ``psi`` that is global unless two
 maxima lie closer than about 1.5 grid spacings; see ROADMAP item 2) and plain
 gradient descent on (Re a_bar, Im a_bar, psi). Both start from a spectral
-initialization.
+initialization and sweep in :func:`_solve`, the one solve loop, which the
+free rank-one baseline shares: one stop rule, one ``converged`` flag, and
+solves that run one at a time per process on one numpy BLAS thread.
 """
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import threading
 from dataclasses import dataclass
@@ -24,7 +25,7 @@ from pathlib import Path
 import numpy as np
 import scipy.linalg
 
-from .channel import _cholesky, array_response
+from .channel import _cholesky, _is_count, array_response
 from .signals import ObservationSet, PilotSchedule
 
 __all__ = [
@@ -59,6 +60,14 @@ class MfConfig:
 
     solver: str = "am"
     max_iters: int | None = None
+
+    def __post_init__(self):
+        if self.solver not in _DEFAULT_ITERS:
+            raise ValueError(
+                f"unknown solver {self.solver!r}, expected one of {sorted(_DEFAULT_ITERS)}"
+            )
+        if self.max_iters is not None and not _is_count(self.max_iters):
+            raise ValueError(f"max_iters must be None or a positive integer: {self.max_iters!r}")
 
     def resolved_max_iters(self) -> int:
         if self.max_iters is not None:
@@ -104,21 +113,6 @@ def _misfit(u: np.ndarray, v: np.ndarray, obs: ObservationSet, sched: PilotSched
     return float(np.sum(np.abs(_predict(u, v, sched) - obs.values) ** 2))
 
 
-def _rounding_floor(obs: ObservationSet) -> float:
-    """Misfit at which every solver stops: exact fits contract geometrically
-    and never stall in relative terms, so they stop at the rounding floor of
-    the data energy."""
-    energy = float(np.sum(np.abs(obs.values) ** 2))
-    return np.finfo(float).eps ** 2 * 1e6 * max(energy, np.finfo(float).tiny)
-
-
-def _stalled(history: list[float], floor: float) -> bool:
-    """The stop rule of every solver: the last sweep lowered the misfit by at
-    most a ``_TOL_OBJECTIVE`` fraction, or the misfit is at ``floor``."""
-    prev, curr = history[-2], history[-1]
-    return curr <= floor or (prev - curr) <= _TOL_OBJECTIVE * prev
-
-
 def _numpy_openblas_threads():
     """Getter and setter of the thread count of the OpenBLAS bundled with
     numpy's wheel in ``numpy.libs``; None when numpy links another BLAS."""
@@ -132,38 +126,40 @@ def _numpy_openblas_threads():
 
 
 _NUMPY_BLAS = _numpy_openblas_threads()
-_blas_lock = threading.Lock()
-_blas_holders = 0  # solver calls now inside _one_blas_thread
-_blas_restore = 1  # numpy's BLAS thread count when the first of them entered
+_solve_lock = threading.Lock()
 
 
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Run numpy's BLAS on one thread while any iterative solver runs.
+def _solve(start, sweep, obs: ObservationSet, sched: PilotSchedule, max_iters: int):
+    """The one solve loop: ``start(obs, sched) -> (*state, value)``, then
+    ``sweep(*state, value, obs, sched) -> (*state, value)``, ``value`` being
+    the misfit, until the stop rule holds or ``max_iters`` sweeps have run.
+    Returns ``(state, history, converged)``; ``converged`` says the rule held.
 
-    The solvers' products, on (k, m_ris)-sized operands, are too small to gain
-    from BLAS threads, which only added spread between runs and rounding that
-    depended on the core count (see the README). The count is process-wide:
-    concurrent holders share it, and the last to leave restores what the
-    first found.
+    The rule: the last sweep lowered the misfit by at most a
+    ``_TOL_OBJECTIVE`` fraction, or the misfit is at the rounding floor of
+    the data energy, where exact fits stop (they contract geometrically).
+    Solves in a process run one at a time on one numpy BLAS thread, and the
+    caller's count is restored after: products on (k, m_ris) operands gain
+    nothing from threads, which only add spread and core-dependent rounding.
     """
-    global _blas_holders, _blas_restore
-    if _NUMPY_BLAS is None:
-        yield
-        return
-    get_threads, set_threads = _NUMPY_BLAS
-    with _blas_lock:
-        if _blas_holders == 0:
-            _blas_restore = get_threads()
-            set_threads(1)
-        _blas_holders += 1
-    try:
-        yield
-    finally:
-        with _blas_lock:
-            _blas_holders -= 1
-            if _blas_holders == 0:
-                set_threads(_blas_restore)
+    energy = float(np.sum(np.abs(obs.values) ** 2))
+    floor = np.finfo(float).eps ** 2 * 1e6 * max(energy, np.finfo(float).tiny)
+    get_threads, set_threads = _NUMPY_BLAS or (lambda: None, lambda count: None)
+    with _solve_lock:
+        restore = get_threads()
+        set_threads(1)
+        try:
+            *state, value = start(obs, sched)
+            history = [value]
+            for _ in range(max_iters):
+                *state, value = sweep(*state, value, obs, sched)
+                history.append(value)
+                prev = history[-2]
+                if value <= floor or prev - value <= _TOL_OBJECTIVE * prev:
+                    return state, history, True
+            return state, history, False
+        finally:
+            set_threads(restore)
 
 
 def _scaled_lstsq(gains: np.ndarray, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -402,36 +398,29 @@ def gd_iterate(
     return a_bar, psi, value
 
 
-@_one_blas_thread()
+def _spectral_start(obs: ObservationSet, sched: PilotSchedule):
+    """Spectral angle, the LS ``a_bar`` at it and their objective."""
+    psi = init_psi(spectral_matrix(obs, sched))
+    a_bar = ls_a_bar(psi, obs, sched)
+    return a_bar, psi, objective(a_bar, psi, obs, sched)
+
+
 def estimate_single_user(
     obs: ObservationSet,
     sched: PilotSchedule,
     config: MfConfig | None = None,
 ) -> EstimateResult:
-    """Full estimator: spectral init, then AM or GD until the objective stalls.
+    """Full estimator: spectral init, then AM or GD sweeps until the shared
+    stop rule holds or after ``max_iters`` sweeps (:func:`_solve`).
 
-    Stops at the shared stop rule (:func:`_stalled`) or after ``max_iters``
-    sweeps. The estimator is deterministic in the data; only the (a_bar,
-    psi) product is identifiable, and the returned ``h_e_hat`` is that
-    product. Runs numpy's BLAS on one thread (:func:`_one_blas_thread`).
+    The estimator is deterministic in the data; only the (a_bar, psi)
+    product is identifiable, and the returned ``h_e_hat`` is that product.
     """
     config = config or MfConfig()
-    if config.solver not in ("am", "gd"):
-        raise ValueError(f"unknown solver {config.solver!r}")
-    iterate = am_iterate if config.solver == "am" else gd_iterate
-
-    psi = init_psi(spectral_matrix(obs, sched))
-    a_bar = ls_a_bar(psi, obs, sched)
-    history = [objective(a_bar, psi, obs, sched)]
-    floor = _rounding_floor(obs)
-    converged = False
-    for _ in range(config.resolved_max_iters()):
-        a_bar, psi, value = iterate(a_bar, psi, history[-1], obs, sched)
-        history.append(value)
-        if _stalled(history, floor):
-            converged = True
-            break
-
+    sweep = am_iterate if config.solver == "am" else gd_iterate
+    (a_bar, psi), history, converged = _solve(
+        _spectral_start, sweep, obs, sched, config.resolved_max_iters()
+    )
     return EstimateResult(
         a_bar_hat=a_bar,
         a_b_hat=array_response(sched.pilots.shape[1], psi),

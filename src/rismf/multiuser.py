@@ -76,6 +76,12 @@ def estimate_a_q(s_q: np.ndarray, sched: UplinkSchedule, psi_hat: float) -> np.n
     a bare phase array, wrap it: ``UplinkSchedule(phases, orthogonal_user_pilots(1, 1))``.
     """
     _require_uplink(sched, "estimate_a_q")
+    k = sched.phases.shape[0]
+    if s_q.ndim not in (2, 3) or s_q.shape[-1] != k:
+        raise ValueError(
+            f"estimate_a_q needs despread users (n_bs, k) or (q, n_bs, k) with k={k} "
+            f"for this schedule, got {s_q.shape}"
+        )
     a_b = array_response(s_q.shape[-2], psi_hat)
     projected = s_q.conj().swapaxes(-1, -2) @ a_b  # (k,) or (q, k)
     rhs = sched.phases.T @ projected.T

@@ -160,10 +160,6 @@ class ObservationSet:
         if not (math.isfinite(self.noise_var) and self.noise_var >= 0.0):
             raise ValueError(f"noise_var must be finite and nonnegative, got {self.noise_var}")
 
-    @property
-    def k_pilots(self) -> int:
-        return self.values.shape[0]
-
 
 def random_pilots(n_bs: int, k: int, rng: np.random.Generator) -> np.ndarray:
     """K unit-norm pilots, i.i.d. complex Gaussian directions, shape (k, n_bs)."""

@@ -494,26 +494,79 @@ class TestOneBlasThread:
             estimates.append(self.SOLVERS[solver](obs, sched))
         np.testing.assert_array_equal(*estimates)
 
-    def test_overlapping_calls_restore_count_once_all_leave(self, threads_seen, monkeypatch):
-        # each call waits inside the scope until the other has entered it
-        barrier = threading.Barrier(2, timeout=30)
-        recording = mf.spectral_matrix
+    def test_overlapping_calls_run_one_at_a_time(self, threads_seen, monkeypatch):
+        # thread A is held inside its solve; B may enter only once A has left
+        a_entered, release, b_entered = threading.Event(), threading.Event(), threading.Event()
+        recording, objective_in = mf.spectral_matrix, mf.objective
+        events = []
 
-        def overlapping(obs, sched):
-            barrier.wait()
+        def held(obs, sched):
+            name = threading.current_thread().name
+            events.append(name)
+            if name == "A":
+                a_entered.set()
+                assert release.wait(timeout=30)
+            else:
+                b_entered.set()
             return recording(obs, sched)
 
-        monkeypatch.setattr(mf, "spectral_matrix", overlapping)
-        monkeypatch.setattr(baselines, "spectral_matrix", overlapping)
+        def traced_objective(*args):
+            events.append(threading.current_thread().name)
+            return objective_in(*args)
+
+        monkeypatch.setattr(mf, "spectral_matrix", held)
+        monkeypatch.setattr(baselines, "spectral_matrix", held)
+        monkeypatch.setattr(mf, "objective", traced_objective)
         _, sched, _, obs = make_case(189, noise_var=0.1)
-        workers = [threading.Thread(target=self.SOLVERS[name], args=(obs, sched))
-                   for name in ("am", "lr")]
-        for worker in workers:
-            worker.start()
-        for worker in workers:
-            worker.join()
+        workers = {name: threading.Thread(target=self.SOLVERS[solver], args=(obs, sched),
+                                          name=name)
+                   for name, solver in (("A", "am"), ("B", "lr"))}
+        workers["A"].start()
+        try:
+            assert a_entered.wait(timeout=30)
+            workers["B"].start()
+            assert not b_entered.wait(timeout=0.5)
+        finally:
+            release.set()
+            for worker in workers.values():
+                if worker.ident is not None:  # started
+                    worker.join(timeout=60)
+                    assert not worker.is_alive()
+        # every step of A's solve (its start and each objective) precedes B's entry
+        assert events[0] == "A" and events.count("B") == 1
+        assert events.index("B") == len(events) - 1
         assert threads_seen == [1, 1]
         assert mf._NUMPY_BLAS[0]() == 2
+
+
+def _stop_rule_held(prev: float, curr: float, obs) -> bool:
+    """The solvers' stop rule, restated: a relative decrease of at most 1e-10,
+    or a misfit at the rounding floor of the data energy."""
+    energy = max(float(np.sum(np.abs(obs.values) ** 2)), np.finfo(float).tiny)
+    return curr <= np.finfo(float).eps ** 2 * 1e6 * energy or prev - curr <= 1e-10 * prev
+
+
+class TestConvergedContract:
+    """``converged`` is set exactly when the stop rule held; otherwise the cap was hit."""
+
+    @pytest.mark.parametrize("noise_var", [0.0, 0.1])
+    @pytest.mark.parametrize(
+        "solver, max_iters", [("am", None), ("am", 1), ("gd", None), ("gd", 1), ("lr", None)]
+    )
+    def test_flag_means_the_stop_rule_held(self, solver, max_iters, noise_var):
+        _, sched, _, obs = make_case(190, noise_var=noise_var)
+        if solver == "lr":
+            result, cap = lr_rankone(obs, sched), baselines._LR_MAX_ITERS
+        else:
+            config = MfConfig(solver=solver, max_iters=max_iters)
+            result, cap = estimate_single_user(obs, sched, config), config.resolved_max_iters()
+        history = result.objective_history
+        pairs = list(zip(history[:-1], history[1:]))
+        assert not any(_stop_rule_held(prev, curr, obs) for prev, curr in pairs[:-1])
+        assert result.converged == _stop_rule_held(*pairs[-1], obs)
+        assert result.iters_used <= cap
+        if not result.converged:
+            assert result.iters_used == cap
 
 
 class TestMfConfig:
@@ -521,3 +574,12 @@ class TestMfConfig:
         assert MfConfig(solver="am").resolved_max_iters() == 200
         assert MfConfig(solver="gd").resolved_max_iters() == 2000
         assert MfConfig(solver="am", max_iters=7).resolved_max_iters() == 7
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"solver": "newton"}, {"max_iters": 1.5}, {"max_iters": "3"}, {"max_iters": True},
+         {"max_iters": 0}, {"max_iters": -1}, {"solver": "gd", "max_iters": 2.0}],
+    )
+    def test_bad_config_rejected_when_built(self, kwargs):
+        with pytest.raises(ValueError):
+            MfConfig(**kwargs)

@@ -111,6 +111,13 @@ class TestEstimateAQ:
         with pytest.raises(ValueError):
             estimate_a_q(np.ones((3, 8), dtype=complex), on_schedule(phase), 0.1)
 
+    @pytest.mark.parametrize("shape", [(4, 7), (2, 4, 9), (8,)])
+    def test_misshapen_users_rejected(self, shape):
+        # an 8-block schedule takes (n_bs, 8) or (q, n_bs, 8)
+        sched = on_schedule(dft_phase_schedule(6, 8))
+        with pytest.raises(ValueError, match=r"\(n_bs, k\) or \(q, n_bs, k\) with k=8") as err:
+            estimate_a_q(np.zeros(shape, dtype=complex), sched, 0.1)
+        assert str(shape) in str(err.value)
 
     def test_bare_phases_rejected(self):
         # the solve reads the factor the schedule caches; bare phases have none
