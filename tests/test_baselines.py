@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from rismf import (
+    PilotSchedule,
     SystemDims,
+    baselines,
     cascaded_downlink,
     downlink_observe,
     estimate_single_user,
@@ -25,6 +28,14 @@ def make_case(seed, n_bs=4, m_ris=6, k=24, noise_var=0.0):
     return chan, sched, cas, obs
 
 
+def lstsq_reference(obs, sched):
+    """LS by an orthogonal factorization of the design, no normal equations."""
+    k, n_bs = sched.pilots.shape
+    design = np.einsum("kn,km->knm", sched.pilots, sched.phases).reshape(k, -1)
+    vec = np.linalg.lstsq(design, obs.values, rcond=None)[0]
+    return vec.reshape(n_bs, -1).T
+
+
 class TestLsFull:
     def test_exact_at_square_budget(self):
         for seed in (301, 302, 303):
@@ -39,8 +50,7 @@ class TestLsFull:
     @pytest.mark.parametrize("k", [24, 40])
     def test_tall_budget_matches_lstsq(self, k):
         _, sched, _, obs = make_case(308, k=k, noise_var=0.5)
-        design = np.einsum("kn,km->knm", sched.pilots, sched.phases).reshape(k, 24)
-        reference = np.linalg.lstsq(design, obs.values, rcond=None)[0].reshape(4, 6).T
+        reference = lstsq_reference(obs, sched)
         h_hat = ls_full(obs, sched)
         assert np.linalg.norm(h_hat - reference) <= 1e-10 * np.linalg.norm(reference)
 
@@ -60,6 +70,83 @@ class TestLsFull:
         np.testing.assert_allclose(
             ls_full(doubled, sched), 2.0 * ls_full(obs, sched), atol=1e-10
         )
+
+
+def spy_on_double_solve(monkeypatch):
+    """Count the calls that reach the complex128 normal equations."""
+    calls = []
+    original = baselines._double_solve
+
+    def counted(values, sched):
+        calls.append(sched.pilots.shape[0])
+        return original(values, sched)
+
+    monkeypatch.setattr(baselines, "_double_solve", counted)
+    return calls
+
+
+class TestLsFullMixedPrecision:
+    """Paper-size cells (N = 32, M = 50, MN = 1600) at 10 dB SNR."""
+
+    @pytest.mark.parametrize("k, tol", [(1700, 1e-12), (1620, 1e-12), (1600, 1e-9)])
+    def test_matches_lstsq_at_paper_size(self, monkeypatch, k, tol):
+        calls = spy_on_double_solve(monkeypatch)
+        _, sched, _, obs = make_case(320 + k, n_bs=32, m_ris=50, k=k, noise_var=0.1)
+        reference = lstsq_reference(obs, sched)
+        h_hat = ls_full(obs, sched)
+        assert np.linalg.norm(h_hat - reference) <= tol * np.linalg.norm(reference)
+        # only the square budget solves in complex128
+        assert bool(calls) == (k == 1600)
+
+    def test_zero_observations_stop_refinement_at_once(self, monkeypatch):
+        # a zero right-hand side makes the relative correction 0/0; the
+        # refinement returns the zero solution instead of falling back
+        calls = spy_on_double_solve(monkeypatch)
+        _, sched, _, obs = make_case(306, k=40)
+        zero = ObservationSet(values=np.zeros_like(obs.values), noise_var=0.0)
+        assert np.array_equal(ls_full(zero, sched), np.zeros((6, 4)))
+        assert calls == []
+
+    @pytest.mark.parametrize("scale", [1e-50, 1e50])
+    def test_complex64_range_does_not_limit_the_data(self, scale):
+        # the residuals are rescaled before they meet single precision
+        _, sched, _, obs = make_case(322, k=40, noise_var=1.0)
+        scaled = ObservationSet(values=scale * obs.values, noise_var=obs.noise_var)
+        np.testing.assert_allclose(
+            ls_full(scaled, sched), scale * ls_full(obs, sched), rtol=1e-12, atol=0.0
+        )
+
+    @pytest.mark.parametrize("k", [24, 30])
+    def test_unused_antenna_is_rank_deficient(self, k):
+        _, sched, _, obs = make_case(321, k=k)
+        pilots = sched.pilots.copy()
+        pilots[:, 0] = 0.0
+        pilots /= np.linalg.norm(pilots, axis=1, keepdims=True)
+        with pytest.raises(ValueError, match="rank deficient"):
+            ls_full(obs, PilotSchedule(pilots, sched.phases))
+
+    def test_stalled_refinement_returns_the_complex128_solution(self, monkeypatch):
+        # two nearly equal pilot columns: cond(Gram) is about 4e7, beyond
+        # single precision, yet cpotrf succeeds and refinement diverges
+        rng = np.random.default_rng(0)
+        sched = make_pilot_schedule(SystemDims(n_bs=4, m_ris=6, k_pilots=40), rng)
+        pilots = sched.pilots.copy()
+        pilots[:, 1] = pilots[:, 0] + 3e-4 * rng.standard_normal((40, 2)).view(complex)[:, 0]
+        pilots /= np.linalg.norm(pilots, axis=1, keepdims=True)
+        sched = PilotSchedule(pilots, sched.phases)
+        values = rng.standard_normal((40, 2)).view(complex)[:, 0]
+
+        steps = []
+        cpotrs = scipy.linalg.lapack.cpotrs
+        monkeypatch.setattr(
+            scipy.linalg.lapack, "cpotrs", lambda *a, **kw: steps.append(1) or cpotrs(*a, **kw)
+        )
+        calls = spy_on_double_solve(monkeypatch)
+        h_hat = ls_full(ObservationSet(values=values, noise_var=1.0), sched)
+        # neither a failed cpotrf (no step) nor the step cap
+        assert 0 < len(steps) < baselines._REFINE_MAX_STEPS
+        assert calls == [40]
+        np.testing.assert_array_equal(h_hat, baselines._double_solve(values, sched).T)
 
 
 class TestLrRankone:
