@@ -8,8 +8,9 @@ training data poses a structured rank-one recovery problem
 
 Two solvers are provided: safeguarded alternating minimization (exact LS in
 ``a_bar`` alternated with a 1-D search in ``psi`` that is global unless two
-maxima lie closer than about 1.5 grid spacings; see ROADMAP item 2) and plain
-gradient descent on (Re a_bar, Im a_bar, psi). Both start from a spectral
+maxima lie closer than about 1.5 grid spacings; see ROADMAP item 2) and
+gradient descent on (Re a_bar, Im a_bar, psi) whose steps are scaled by each
+block's Gauss-Newton curvature (:func:`gd_iterate`). Both start from a spectral
 initialization and sweep in :func:`_solve`, the one solve loop, which the
 free rank-one baseline shares: one stop rule, one ``converged`` flag, and
 solves that run one at a time per process on one numpy BLAS thread.
@@ -46,8 +47,7 @@ __all__ = [
 _DEFAULT_ITERS = {"am": 200, "gd": 2000}
 # Stop once a sweep lowers the misfit by at most this fraction of its value.
 _TOL_OBJECTIVE = 1e-10
-# GD starts every step at this size and halves it at most this many times.
-_GD_STEP = 1e-2
+# GD halves its unit trial step at most this many times.
 _MAX_BACKTRACKS = 30
 
 
@@ -339,6 +339,33 @@ def am_iterate(
     return a_bar, psi, objective(a_bar, psi, obs, sched)
 
 
+def _gd_terms(
+    a_bar: np.ndarray, psi: float, obs: ObservationSet, sched: PilotSchedule
+) -> tuple[np.ndarray, float, float, float]:
+    """Complex gradient over a_bar, gradient over psi, and the Gauss-Newton
+    diagonal curvatures ``h_a`` of each a_bar coordinate and ``h_psi`` of psi
+    (see :func:`gd_gradients` and :func:`gd_iterate`)."""
+    n_bs = sched.pilots.shape[1]
+    a_b = array_response(n_bs, psi)
+    c = sched.pilots @ a_b.conj()
+    g = sched.phases @ a_bar
+    e = g * c - obs.values
+
+    grad_a = 2.0 * (sched.phases.conj().T @ (c.conj() * e))
+    grad_steer = 2.0 * (sched.pilots.T @ (g * e.conj()))
+
+    z = 2.0 * np.pi * np.arange(n_bs)
+    phase = 2.0 * np.pi * psi * np.arange(n_bs)
+    d_re = -np.sin(phase) * z / np.sqrt(n_bs)
+    d_im = -np.cos(phase) * z / np.sqrt(n_bs)
+    grad_psi = float(grad_steer.real @ d_re + grad_steer.imag @ d_im)
+
+    c_slope = sched.pilots @ (d_re - 1j * d_im)  # (d a_b / d psi)^H x_k
+    h_a = 2.0 * float(np.sum(np.abs(c) ** 2))
+    h_psi = 2.0 * float(np.abs(g) ** 2 @ np.abs(c_slope) ** 2)
+    return grad_a, grad_psi, h_a, h_psi
+
+
 def gd_gradients(
     a_bar: np.ndarray,
     psi: float,
@@ -355,42 +382,38 @@ def gd_gradients(
     * grad over the steering vector: ``2 sum_k g_k x_k conj(e_k)``, chained
       through ``d a_b / d psi`` with phase slopes ``z_i = 2 pi i``.
     """
-    n_bs = sched.pilots.shape[1]
-    a_b = array_response(n_bs, psi)
-    c = sched.pilots @ a_b.conj()
-    g = sched.phases @ a_bar
-    e = g * c - obs.values
-
-    grad_a = 2.0 * (sched.phases.conj().T @ (c.conj() * e))
-    grad_steer = 2.0 * (sched.pilots.T @ (g * e.conj()))
-
-    z = 2.0 * np.pi * np.arange(n_bs)
-    phase = 2.0 * np.pi * psi * np.arange(n_bs)
-    d_re = -np.sin(phase) * z / np.sqrt(n_bs)
-    d_im = -np.cos(phase) * z / np.sqrt(n_bs)
-    grad_psi = float(grad_steer.real @ d_re + grad_steer.imag @ d_im)
+    grad_a, grad_psi, _, _ = _gd_terms(a_bar, psi, obs, sched)
     return grad_a.real, grad_a.imag, grad_psi
 
 
 def gd_iterate(
     a_bar: np.ndarray, psi: float, value: float, obs: ObservationSet, sched: PilotSchedule
 ) -> tuple[np.ndarray, float, float]:
-    """One gradient step on (Re a_bar, Im a_bar, psi) with a shared step size,
-    from ``(a_bar, psi)``, whose objective is ``value``; returns the new
+    """One diagonally scaled gradient step on (Re a_bar, Im a_bar, psi) from
+    ``(a_bar, psi)``, whose objective is ``value``; returns the new
     ``(a_bar, psi, value)``.
 
-    The step starts at ``_GD_STEP`` and is halved (up to ``_MAX_BACKTRACKS``
+    Each block's gradient is divided by its Gauss-Newton diagonal curvature
+    at the current iterate: ``h_a = 2 sum_k |c_k|^2`` for every a_bar
+    coordinate (``|theta_k,i| = 1``), with ``c_k = a_b(psi)^H x_k``, and
+    ``h_psi = 2 sum_k |g_k|^2 |c'_k|^2`` for psi, with ``g_k = theta_k^T a_bar``
+    and ``c'_k = (d a_b / d psi)^H x_k``. A block with zero curvature does not
+    move (``a_bar = 0`` gives ``h_psi = 0``). The step is then unit-free:
+    scaling the data scales ``a_bar``'s step with it and leaves psi's alone.
+    The trial step starts at 1 and is halved (up to ``_MAX_BACKTRACKS``
     times) until the objective does not increase; if that fails the iterate
-    is left unchanged, so the trajectory stays monotone. The angle is wrapped
-    back to [0, 1).
+    is left unchanged, so the trajectory stays monotone (Armijo, Pacific J.
+    Math. 16(1), 1966; Bertsekas, *Nonlinear Programming*, 2nd ed., sec.
+    1.3). The angle is wrapped back to [0, 1).
     """
-    grad_re, grad_im, grad_psi = gd_gradients(a_bar, psi, obs, sched)
-    grad_a = grad_re + 1j * grad_im
+    grad_a, grad_psi, h_a, h_psi = _gd_terms(a_bar, psi, obs, sched)
+    dir_a = grad_a / h_a if h_a > 0.0 else np.zeros_like(grad_a)
+    dir_psi = grad_psi / h_psi if h_psi > 0.0 else 0.0
 
-    step = _GD_STEP
+    step = 1.0
     for _ in range(_MAX_BACKTRACKS + 1):
-        cand_a = a_bar - step * grad_a
-        cand_psi = (psi - step * grad_psi) % 1.0
+        cand_a = a_bar - step * dir_a
+        cand_psi = (psi - step * dir_psi) % 1.0
         cand_val = objective(cand_a, cand_psi, obs, sched)
         if cand_val <= value:
             return cand_a, cand_psi, cand_val

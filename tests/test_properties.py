@@ -3,8 +3,10 @@
 ``r_k = theta_k^T h_e x_k + n_k`` is linear in ``h_e`` and a sum over pilot
 slots, so scaling the data by a complex ``c`` must scale every estimate by
 ``c`` (covering both scale and global phase), and the order of the slots
-must not matter. The BS-side angle enters only through ``exp(2j pi psi n)``,
-so the angles ``psi`` and ``psi + 1`` must give the same estimate.
+must not matter. A power-of-two scale rounds nothing, so there the MF
+solvers must return the same angle bit for bit and an exactly scaled
+estimate. The BS-side angle enters only through ``exp(2j pi psi n)``, so the
+angles ``psi`` and ``psi + 1`` must give the same estimate.
 """
 
 import cmath
@@ -16,11 +18,13 @@ from hypothesis import strategies as st
 
 from rismf import (
     ESTIMATORS,
+    MfConfig,
     PilotSchedule,
     SystemDims,
     array_response,
     cascaded_downlink,
     downlink_observe,
+    estimate_single_user,
     make_pilot_schedule,
     sample_channel,
     simulate_downlink,
@@ -63,7 +67,7 @@ def relative_gap(a, b):
     return np.linalg.norm(a - b) / np.linalg.norm(b)
 
 
-@pytest.mark.parametrize("name", ["MF_AM", "LR"])
+@pytest.mark.parametrize("name", ["MF_AM", "MF_GD", "LR"])
 class TestInvariances:
     @CHECKS
     @given(seed=seeds, c=scales)
@@ -82,6 +86,21 @@ class TestInvariances:
         shuffled_sched = PilotSchedule(pilots=sched.pilots[order], phases=sched.phases[order])
         shuffled_obs = ObservationSet(values=obs.values[order], noise_var=obs.noise_var)
         assert relative_gap(estimate(shuffled_obs, shuffled_sched), estimate(obs, sched)) <= RTOL
+
+
+@pytest.mark.parametrize("solver", ["am", "gd"])
+@pytest.mark.parametrize("power", [-20, 20])
+@CHECKS
+@given(seed=seeds)
+def test_power_of_two_scale_is_exact(solver, power, seed):
+    s = 2.0**power
+    sched, obs = make_cell(seed)
+    scaled = ObservationSet(values=s * obs.values, noise_var=s**2 * obs.noise_var)
+    config = MfConfig(solver=solver)
+    base = estimate_single_user(obs, sched, config)
+    moved = estimate_single_user(scaled, sched, config)
+    assert moved.psi_hat == base.psi_hat
+    np.testing.assert_array_equal(moved.h_e_hat, s * base.h_e_hat)
 
 
 angles = st.one_of(
