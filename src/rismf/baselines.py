@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 from scipy.linalg import blas, lapack
 
 from .mf import EstimateResult, _misfit, _scaled_lstsq, _solve, spectral_matrix
@@ -14,9 +13,9 @@ __all__ = ["ls_full", "lr_rankone"]
 # Alternating sweeps before the low-rank baseline gives up.
 _LR_MAX_ITERS = 300
 
-# ls_full's refinement: relative correction that stops it, the level at
-# which a correction that fails to halve still counts as converged, and the
-# number of steps before it gives up and solves in complex128.
+# ls_full's complex64 refinement: relative correction that stops it, the
+# level at which a correction that fails to halve still counts as converged,
+# and the number of steps before it gives up and solves in complex128.
 _REFINE_TOL = 1e-14
 _REFINE_FLAT_TOL = 1e-12
 _REFINE_MAX_STEPS = 10
@@ -26,64 +25,71 @@ def ls_full(obs: ObservationSet, sched: PilotSchedule) -> np.ndarray:
     """Unstructured LS over the vectorized channel, shape (m_ris, n_bs).
 
     Solves ``r_k = (x_k^T kron theta_k^T) vec(h_e)`` over all slots; needs
-    k >= m_ris * n_bs. Both budgets go through the normal equations. Above
-    the square budget they are solved in mixed precision by
-    :func:`_refined_solve`: a complex64 Cholesky factor, refined in float64
-    (Langou et al., SC 2006; Carson and Higham, SIAM J. Sci. Comput. 40(2),
-    2018). If that does not converge, and always at the square budget
-    k = m_ris * n_bs, :func:`_double_solve` solves them in complex128; only
-    that path raises "rank deficient". At k = MN = 1600 (N = 32, M = 50)
-    11 of 16 cells ran the 10 refinement steps and still fell back, so the
-    square budget skips refinement.
+    k >= m_ris * n_bs. Both budgets go through the normal equations in
+    :func:`_normal_solve`. Above the square budget it first runs in mixed
+    precision: a complex64 Cholesky factor, refined in float64 (Langou et
+    al., SC 2006; Carson and Higham, SIAM J. Sci. Comput. 40(2), 2018). If
+    that does not converge, and always at the square budget
+    k = m_ris * n_bs, it runs with a complex128 factor; a failed complex128
+    factor is "rank deficient". At k = MN = 1600 (N = 32, M = 50) 11 of 16
+    cells ran the 10 refinement steps and still fell back, so the square
+    budget skips complex64.
     """
     k, n_bs = sched.pilots.shape
     m_ris = sched.phases.shape[1]
     unknowns = m_ris * n_bs
     if k < unknowns:
         raise ValueError(f"full LS needs k >= m_ris*n_bs, got k={k}, unknowns={unknowns}")
-    h_t = _refined_solve(obs.values, sched) if k > unknowns else None
-    if h_t is None:
-        h_t = _double_solve(obs.values, sched)
-    return h_t.T
+    dtypes = (np.complex64, np.complex128) if k > unknowns else (np.complex128,)
+    for dtype in dtypes:
+        h_t = _normal_solve(obs.values, sched, dtype)
+        if h_t is not None:
+            return h_t.T
+    raise ValueError("full LS design is rank deficient")
 
 
-def _refined_solve(values: np.ndarray, sched: PilotSchedule) -> np.ndarray | None:
-    """``h_e^T`` from a complex64 Cholesky factor refined in float64; None if it stalls.
+def _normal_solve(values: np.ndarray, sched: PilotSchedule, dtype) -> np.ndarray | None:
+    """``h_e^T`` from a Cholesky factor of the normal equations in ``dtype``.
 
-    ``h_e^T`` (n_bs, m_ris) in C order is the column-stacked ``vec(h_e)``.
-    The (k, m n) design is built in complex64, BLAS ``cherk`` forms one
-    triangle of its conjugate Gram and LAPACK ``cpotrf`` factors it; the
-    design is released before the factor is formed. Each refinement step
-    takes the normal-equation residual ``D^H (r - D vec)`` in float64
-    straight from the schedule, with no complex128 design: the forward
+    ``dtype`` is complex64 or complex128, and the BLAS and LAPACK routines
+    are looked up by their ``c`` or ``z`` prefix. ``h_e^T`` (n_bs, m_ris)
+    in C order is the column-stacked ``vec(h_e)``. The (k, m n) design is
+    built in ``dtype``; ``?herk`` forms one triangle of its conjugate Gram
+    from the design's Fortran-ordered transpose, so the design is never
+    copied, and it is released before ``?potrf`` factors the Gram. A
+    failed factor returns None. Unlike the small solves of
+    :func:`~rismf.channel._cholesky`, the factor gets no ``pocon`` check:
+    its 1-norm needs the full Gram, a second (m n)^2 temporary.
+
+    The solution is built in float64 from normal-equation residuals
+    ``D^H (r - D vec)``, taken straight from the schedule: the forward
     product is ``rowsum((phases @ h_e) * pilots)`` and the adjoint
-    ``phases^H (res * conj(pilots))``, O(k m n) each. One ``cpotrs`` turns
-    it into a correction. Both products go through scipy's BLAS, as the
-    factor does: numpy bundles its own OpenBLAS, and with numpy's matmul
-    for them its threads spun against scipy's, so the next ``cherk`` took
-    80-95 ms instead of 43 ms on 2 cores.
+    ``phases^H (res * conj(pilots))``, O(k m n) each, and one ``?potrs``
+    turns a residual into a correction. Both products go through scipy's
+    BLAS, as the factor does: numpy bundles its own OpenBLAS, and with
+    numpy's matmul its threads spun against scipy's, so the next ``cherk``
+    took 80-95 ms instead of 43 ms on 2 cores. At N = 32, M = 50, k = 1700
+    on a 2-core Xeon VM with OpenBLAS threads unset, ``cherk`` took 43 ms
+    against 87 ms for ``zherk``, ``cpotrf`` 21 ms against 39 ms for
+    ``zpotrf``, and a refinement step about 2.5 ms.
 
-    At N = 32, M = 50, k = 1700 on a 2-core Xeon VM with OpenBLAS threads
-    unset, ``cherk`` took 43 ms against 87 ms for ``zherk``, ``cpotrf``
-    21 ms against 39 ms for ``zpotrf``, and a refinement step about 2.5 ms.
-
-    Refinement stops when a correction is at most 1e-14 of the solution's
-    norm, or when it fails to halve the previous one but is already at
-    most 1e-12: corrections level off near cond(Gram) * eps64, which can
-    sit above 1e-14. A stall above 1e-12, 10 steps without stopping, or a
-    failed ``cpotrf`` returns None. At k = 1700, 16 of 16 cells stopped
-    after 5 steps; at k = MN + 20, after 5 or 6.
+    A complex128 factor returns its first solve. A complex64 factor is
+    refined until a correction is at most 1e-14 of the solution's norm, or
+    until it fails to halve the previous one but is already at most 1e-12:
+    corrections level off near cond(Gram) * eps64, which can sit above
+    1e-14. A stall above 1e-12 or 10 steps without stopping returns None.
+    At k = 1700, 16 of 16 cells stopped after 5 steps; at k = MN + 20,
+    after 5 or 6.
     """
+    prefix = "c" if dtype == np.complex64 else "z"
     pilots, phases = sched.pilots, sched.phases
     k, n_bs = pilots.shape
     # row k = x_k kron theta_k, matching column-stacked vec(h_e)
-    design = (
-        pilots.astype(np.complex64)[:, :, None] * phases.astype(np.complex64)[:, None, :]
-    ).reshape(k, -1)
+    design = (pilots.astype(dtype)[:, :, None] * phases.astype(dtype)[:, None, :]).reshape(k, -1)
     # lower triangle of design^T conj(design) = conj(design^H design)
-    conj_gram = blas.cherk(1.0, design.T, lower=1)
+    conj_gram = getattr(blas, f"{prefix}herk")(1.0, design.T, lower=1)
     del design
-    factor, info = lapack.cpotrf(conj_gram, lower=1, overwrite_a=1, clean=0)
+    factor, info = getattr(lapack, f"{prefix}potrf")(conj_gram, lower=1, overwrite_a=1, clean=0)
     if info != 0:
         return None
     h_t = np.zeros((n_bs, phases.shape[1]), dtype=complex)
@@ -95,11 +101,13 @@ def _refined_solve(values: np.ndarray, sched: PilotSchedule) -> np.ndarray | Non
         if scale == 0.0:  # resid is orthogonal to the design: h_t solves it (zero data)
             return h_t
         # scaled so that complex64 neither underflows nor overflows
-        conj_step = lapack.cpotrs(
-            factor, (conj_rhs / scale).astype(np.complex64).ravel(), lower=1
+        conj_step = getattr(lapack, f"{prefix}potrs")(
+            factor, (conj_rhs / scale).astype(dtype).ravel(), lower=1
         )[0]
         step = scale * conj_step.conj().astype(complex).reshape(h_t.shape)
         h_t += step
+        if prefix == "z":  # a complex128 factor solves to working precision at once
+            return h_t
         size, norm = np.linalg.norm(step), np.linalg.norm(h_t)
         stalled = size > 0.5 * last
         if size <= _REFINE_TOL * norm or (stalled and size <= _REFINE_FLAT_TOL * norm):
@@ -109,32 +117,6 @@ def _refined_solve(values: np.ndarray, sched: PilotSchedule) -> np.ndarray | Non
         last = size
         resid = values - (blas.zgemm(1.0, h_t.T, phases.T, trans_a=1).T * pilots).sum(axis=1)
     return None
-
-
-def _double_solve(values: np.ndarray, sched: PilotSchedule) -> np.ndarray:
-    """``h_e^T`` from the complex128 normal equations.
-
-    BLAS ``zherk`` forms one triangle of the Gram from the design's
-    Fortran-ordered transpose, so the design is never copied; that triangle
-    is the conjugate Gram, which is factored in place and solved against
-    the conjugate right-hand side. Unlike the small solves of
-    :func:`~rismf.channel._cholesky`, the factor gets no ``pocon`` check:
-    its 1-norm needs the full Gram, a second (m n)^2 temporary. A failed
-    factorization counts as rank deficient.
-    """
-    k, n_bs = sched.pilots.shape
-    # the complex64 design's rows, in complex128
-    design = np.einsum("kn,km->knm", sched.pilots, sched.phases).reshape(k, -1)
-    conj_gram = blas.zherk(1.0, design.T, lower=1)
-    try:
-        factor = scipy.linalg.cho_factor(
-            conj_gram, lower=True, overwrite_a=True, check_finite=False
-        )
-    except np.linalg.LinAlgError as err:  # the Gram is not positive definite
-        raise ValueError(f"full LS design is rank deficient: {err}") from err
-    conj_rhs = values.conj() @ design
-    vec = scipy.linalg.cho_solve(factor, conj_rhs, check_finite=False).conj()
-    return vec.reshape(n_bs, -1)
 
 
 def _svd_start(obs: ObservationSet, sched: PilotSchedule):

@@ -115,8 +115,10 @@ def spectral_efficiency(h_e_true: np.ndarray, h_e_hat: np.ndarray, noise_var: fl
     the design then maximizes the received power exactly. Returns
     ``log2(1 + |theta^T h_e_true x|^2 / noise_var)``.
     """
-    if noise_var <= 0.0:
-        raise ValueError("spectral efficiency needs a positive noise variance")
+    if not (math.isfinite(noise_var) and noise_var > 0.0):
+        raise ValueError(
+            f"spectral efficiency needs a positive finite noise variance, got {noise_var}"
+        )
     return _rate(h_e_true, *_rank_one_design(h_e_hat), noise_var)
 
 

@@ -134,6 +134,7 @@ def _solve(start, sweep, obs: ObservationSet, sched: PilotSchedule, max_iters: i
     ``sweep(*state, value, obs, sched) -> (*state, value)``, ``value`` being
     the misfit, until the stop rule holds or ``max_iters`` sweeps have run.
     Returns ``(state, history, converged)``; ``converged`` says the rule held.
+    Identically zero observations raise ``ValueError``.
 
     The rule: the last sweep lowered the misfit by at most a
     ``_TOL_OBJECTIVE`` fraction, or the misfit is at the rounding floor of
@@ -142,6 +143,8 @@ def _solve(start, sweep, obs: ObservationSet, sched: PilotSchedule, max_iters: i
     caller's count is restored after: products on (k, m_ris) operands gain
     nothing from threads, which only add spread and core-dependent rounding.
     """
+    if not np.any(obs.values):
+        raise ValueError("observations are identically zero; nothing to estimate")
     energy = float(np.sum(np.abs(obs.values) ** 2))
     floor = np.finfo(float).eps ** 2 * 1e6 * max(energy, np.finfo(float).tiny)
     get_threads, set_threads = _NUMPY_BLAS or (lambda: None, lambda count: None)

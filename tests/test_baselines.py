@@ -75,14 +75,37 @@ class TestLsFull:
 def spy_on_double_solve(monkeypatch):
     """Count the calls that reach the complex128 normal equations."""
     calls = []
-    original = baselines._double_solve
+    original = baselines._normal_solve
 
-    def counted(values, sched):
-        calls.append(sched.pilots.shape[0])
-        return original(values, sched)
+    def counted(values, sched, dtype):
+        if dtype == np.complex128:
+            calls.append(sched.pilots.shape[0])
+        return original(values, sched, dtype)
 
-    monkeypatch.setattr(baselines, "_double_solve", counted)
+    monkeypatch.setattr(baselines, "_normal_solve", counted)
     return calls
+
+
+def spy_on_cpotrs(monkeypatch):
+    """Count the complex64 refinement steps."""
+    steps = []
+    cpotrs = scipy.linalg.lapack.cpotrs
+    monkeypatch.setattr(
+        scipy.linalg.lapack, "cpotrs", lambda *a, **kw: steps.append(1) or cpotrs(*a, **kw)
+    )
+    return steps
+
+
+def near_dependent_pilots(spread):
+    """The K = 40 schedule of ``default_rng(0)`` with pilot column 1 moved
+    to column 0 plus ``spread`` times a complex normal draw, and data."""
+    rng = np.random.default_rng(0)
+    sched = make_pilot_schedule(SystemDims(n_bs=4, m_ris=6, k_pilots=40), rng)
+    pilots = sched.pilots.copy()
+    pilots[:, 1] = pilots[:, 0] + spread * rng.standard_normal((40, 2)).view(complex)[:, 0]
+    pilots /= np.linalg.norm(pilots, axis=1, keepdims=True)
+    values = rng.standard_normal((40, 2)).view(complex)[:, 0]
+    return PilotSchedule(pilots, sched.phases), ObservationSet(values=values, noise_var=1.0)
 
 
 class TestLsFullMixedPrecision:
@@ -128,25 +151,28 @@ class TestLsFullMixedPrecision:
     def test_stalled_refinement_returns_the_complex128_solution(self, monkeypatch):
         # two nearly equal pilot columns: cond(Gram) is about 4e7, beyond
         # single precision, yet cpotrf succeeds and refinement diverges
-        rng = np.random.default_rng(0)
-        sched = make_pilot_schedule(SystemDims(n_bs=4, m_ris=6, k_pilots=40), rng)
-        pilots = sched.pilots.copy()
-        pilots[:, 1] = pilots[:, 0] + 3e-4 * rng.standard_normal((40, 2)).view(complex)[:, 0]
-        pilots /= np.linalg.norm(pilots, axis=1, keepdims=True)
-        sched = PilotSchedule(pilots, sched.phases)
-        values = rng.standard_normal((40, 2)).view(complex)[:, 0]
-
-        steps = []
-        cpotrs = scipy.linalg.lapack.cpotrs
-        monkeypatch.setattr(
-            scipy.linalg.lapack, "cpotrs", lambda *a, **kw: steps.append(1) or cpotrs(*a, **kw)
-        )
+        sched, obs = near_dependent_pilots(3e-4)
+        steps = spy_on_cpotrs(monkeypatch)
         calls = spy_on_double_solve(monkeypatch)
-        h_hat = ls_full(ObservationSet(values=values, noise_var=1.0), sched)
+        h_hat = ls_full(obs, sched)
         # neither a failed cpotrf (no step) nor the step cap
         assert 0 < len(steps) < baselines._REFINE_MAX_STEPS
         assert calls == [40]
-        np.testing.assert_array_equal(h_hat, baselines._double_solve(values, sched).T)
+        np.testing.assert_array_equal(
+            h_hat, baselines._normal_solve(obs.values, sched, np.complex128).T
+        )
+
+    def test_failed_complex64_factor_falls_back_to_complex128(self, monkeypatch):
+        # closer pilot columns: cond(D) is about 2e4, so cond(Gram) is beyond
+        # complex64 and cpotrf fails before any refinement step
+        sched, obs = near_dependent_pilots(1e-4)
+        steps = spy_on_cpotrs(monkeypatch)
+        calls = spy_on_double_solve(monkeypatch)
+        h_hat = ls_full(obs, sched)
+        assert steps == []
+        assert calls == [40]
+        reference = lstsq_reference(obs, sched)
+        assert np.linalg.norm(h_hat - reference) <= 1e-6 * np.linalg.norm(reference)
 
 
 class TestLrRankone:

@@ -95,7 +95,7 @@ class TestSpectralEfficiency:
             theta = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=6))
             assert _rate(h, theta, array_response(4, rng.uniform()), 1.0) <= opt + 1e-12
 
-    @pytest.mark.parametrize("noise_var", [0.0, -1.0])
+    @pytest.mark.parametrize("noise_var", [0.0, -1.0, np.nan, np.inf])
     def test_rejects_nonpositive_noise_var(self, noise_var):
         h, _ = self._rank_one(415)
         with pytest.raises(ValueError, match="noise variance"):

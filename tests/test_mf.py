@@ -470,6 +470,17 @@ class TestEstimateSingleUser:
                 ObservationSet(values=values, noise_var=0.1), sched, MfConfig(solver=solver)
             )
 
+    @pytest.mark.parametrize("solver", ["am", "gd", "lr"])
+    def test_zero_data_rejected(self, solver):
+        # the one solve loop names the data, not the spectral matrix or the LS design
+        _, sched, _, obs = make_case(187)
+        zero = ObservationSet(values=np.zeros_like(obs.values), noise_var=0.0)
+        with pytest.raises(ValueError, match="observations are identically zero"):
+            if solver == "lr":
+                lr_rankone(zero, sched)
+            else:
+                estimate_single_user(zero, sched, MfConfig(solver=solver))
+
 
 @pytest.mark.skipif(mf._NUMPY_BLAS is None, reason="numpy does not bundle OpenBLAS")
 class TestOneBlasThread:
