@@ -6,7 +6,7 @@ import numpy as np
 from scipy.linalg import blas, lapack
 
 from .mf import EstimateResult, _misfit, _scaled_lstsq, _solve, spectral_matrix
-from .signals import ObservationSet, PilotSchedule
+from .signals import ObservationSet, PilotSchedule, _downlink_adjoint, _downlink_forward
 
 __all__ = ["ls_full", "lr_rankone"]
 
@@ -62,16 +62,13 @@ def _normal_solve(values: np.ndarray, sched: PilotSchedule, dtype) -> np.ndarray
     its 1-norm needs the full Gram, a second (m n)^2 temporary.
 
     The solution is built in float64 from normal-equation residuals
-    ``D^H (r - D vec)``, taken straight from the schedule: the forward
-    product is ``rowsum((phases @ h_e) * pilots)`` and the adjoint
-    ``phases^H (res * conj(pilots))``, O(k m n) each, and one ``?potrs``
-    turns a residual into a correction. Both products go through scipy's
-    BLAS, as the factor does: numpy bundles its own OpenBLAS, and with
-    numpy's matmul its threads spun against scipy's, so the next ``cherk``
-    took 80-95 ms instead of 43 ms on 2 cores. At N = 32, M = 50, k = 1700
-    on a 2-core Xeon VM with OpenBLAS threads unset, ``cherk`` took 43 ms
-    against 87 ms for ``zherk``, ``cpotrf`` 21 ms against 39 ms for
-    ``zpotrf``, and a refinement step about 2.5 ms.
+    ``D^H (r - D vec)``, taken straight from the schedule by the downlink
+    operator :func:`~rismf.signals._downlink_forward` and its adjoint,
+    O(k m n) each, with no float64 design; one ``?potrs`` turns a residual
+    into a correction. At N = 32, M = 50, k = 1700 on a 2-core Xeon VM with
+    OpenBLAS threads unset, ``cherk`` took 43 ms against 87 ms for
+    ``zherk``, ``cpotrf`` 21 ms against 39 ms for ``zpotrf``, and a
+    refinement step about 2.5 ms.
 
     A complex128 factor returns its first solve. A complex64 factor is
     refined until a correction is at most 1e-14 of the solution's norm, or
@@ -96,7 +93,7 @@ def _normal_solve(values: np.ndarray, sched: PilotSchedule, dtype) -> np.ndarray
     resid, last = values, np.inf
     for _ in range(_REFINE_MAX_STEPS):
         # conj(design^H resid) as an (n_bs, m_ris) matrix
-        conj_rhs = blas.zgemm(1.0, phases.T, (pilots * resid.conj()[:, None]).T, trans_b=1).T
+        conj_rhs = _downlink_adjoint(sched, resid).T.conj()
         scale = np.abs(conj_rhs).max()
         if scale == 0.0:  # resid is orthogonal to the design: h_t solves it (zero data)
             return h_t
@@ -115,7 +112,7 @@ def _normal_solve(values: np.ndarray, sched: PilotSchedule, dtype) -> np.ndarray
         if stalled:
             return None
         last = size
-        resid = values - (blas.zgemm(1.0, h_t.T, phases.T, trans_a=1).T * pilots).sum(axis=1)
+        resid = values - _downlink_forward(sched, h_t.T)
     return None
 
 

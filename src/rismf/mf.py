@@ -8,12 +8,13 @@ training data poses a structured rank-one recovery problem
 
 Two solvers are provided: safeguarded alternating minimization (exact LS in
 ``a_bar`` alternated with a 1-D search in ``psi`` that is global unless two
-maxima lie closer than about 1.5 grid spacings; see ROADMAP item 2) and
-gradient descent on (Re a_bar, Im a_bar, psi) whose steps are scaled by each
-block's Gauss-Newton curvature (:func:`gd_iterate`). Both start from a spectral
-initialization and sweep in :func:`_solve`, the one solve loop, which the
-free rank-one baseline shares: one stop rule, one ``converged`` flag, and
-solves that run one at a time per process on one numpy BLAS thread.
+maxima lie closer than about 1.5 grid spacings; see the FOUND under cba75d8
+in CHANGES.md) and gradient descent on (Re a_bar, Im a_bar, psi) whose steps
+are scaled by each block's Gauss-Newton curvature (:func:`gd_iterate`). Both
+start from a spectral initialization and sweep in :func:`_solve`, the one
+solve loop, which the free rank-one baseline shares: one stop rule, one
+``converged`` flag, and solves that run one at a time per process on one
+numpy BLAS thread.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 import scipy.linalg
 
 from .channel import _cholesky, _is_count, array_response
-from .signals import ObservationSet, PilotSchedule
+from .signals import ObservationSet, PilotSchedule, _downlink_adjoint
 
 __all__ = [
     "MfConfig",
@@ -191,15 +192,14 @@ def objective(a_bar: np.ndarray, psi: float, obs: ObservationSet, sched: PilotSc
 
 
 def spectral_matrix(obs: ObservationSet, sched: PilotSchedule) -> np.ndarray:
-    """Initialization statistic ``S = (sqrt(n)/k) sum_k r_k conj(theta_k) x_k^H``.
+    """Initialization statistic ``S = (sqrt(n)/k) sum_k r_k conj(theta_k) x_k^H``,
+    the scaled :func:`~rismf.signals._downlink_adjoint` of the data.
 
     Its expectation over random schedules is proportional to the true
     ``a_bar a_b(psi)^H``, shape (m_ris, n_bs).
     """
     n_bs = sched.pilots.shape[1]
-    k = sched.k_pilots
-    weighted = obs.values[:, None] * sched.pilots.conj()
-    return (np.sqrt(n_bs) / k) * (sched.phases.conj().T @ weighted)
+    return (np.sqrt(n_bs) / sched.k_pilots) * _downlink_adjoint(sched, obs.values)
 
 
 def manifold_coefficients(gram: np.ndarray) -> np.ndarray:
@@ -230,7 +230,7 @@ def maximize_over_manifold(coef: np.ndarray) -> float:
     polished point wins (the root-MUSIC / Newtonized-OMP idea: Barabell,
     ICASSP 1983; Mamandipoor, Ramasamy and Madhow, IEEE TSP 2016). Two
     maxima closer than about 1.5 grid spacings show as one grid peak, so
-    the lower one can be returned (ROADMAP item 2).
+    the lower one can be returned (FOUND under cba75d8 in CHANGES.md).
 
     Only the peaks that could still beat the grid maximum are polished:
     those with ``grid >= max(grid) - s^2 C / 2``, where
@@ -329,11 +329,11 @@ def am_iterate(
     (:func:`_angle_coefficients`), so the angle step costs O(k n_bs) per
     sweep plus one 8 n_bs-point FFT. The search is global except when two
     maxima lie closer than about 1.5 grid spacings, where the grid shows one
-    peak and the lower twin can win (ROADMAP item 2). The candidate is
-    accepted only if the directly evaluated objective does not increase,
-    which guards against rounding in the polynomial form. Then the exact LS update of ``a_bar`` at
-    the accepted angle, which can only decrease the objective further, so
-    the sweep is monotone by construction.
+    peak and the lower twin can win (FOUND under cba75d8 in CHANGES.md).
+    The candidate is accepted only if the directly evaluated objective does
+    not increase, which guards against rounding in the polynomial form. Then
+    the exact LS update of ``a_bar`` at the accepted angle, which can only
+    decrease the objective further, so the sweep is monotone by construction.
     """
     candidate = maximize_over_manifold(_angle_coefficients(a_bar, obs, sched))
     if objective(a_bar, candidate, obs, sched) <= value:

@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import blas
 
 from .channel import CascadedChannel, SystemDims, _cholesky, _is_count, complex_normal
 
@@ -40,13 +41,13 @@ __all__ = [
 _UNIT_TOL = 1e-9
 
 
-@dataclass
+@dataclass(frozen=True)
 class PilotSchedule:
     """Downlink training schedule: one BS pilot and one RIS phase vector per slot.
 
     ``pilots`` has shape (k, n_bs) with unit-norm rows; ``phases`` has shape
-    (k, m_ris) with unit-modulus entries. A schedule is not modified after
-    construction, which lets it cache quantities derived from its arrays.
+    (k, m_ris) with unit-modulus entries. The schedule is frozen, which lets
+    it cache quantities derived from its arrays.
     """
 
     pilots: np.ndarray
@@ -243,12 +244,45 @@ def downlink_observe(
     """
     if chan.uplink:
         raise ValueError("downlink_observe needs a downlink cascade")
-    values = np.einsum("kn,kn->k", sched.phases @ chan.h_e, sched.pilots)
+    values = _downlink_forward(sched, chan.h_e)
     if noise_var > 0.0:
         if rng is None:
             raise ValueError("noisy observation needs an rng")
         values = values + complex_normal(rng, values.shape, var=noise_var)
     return ObservationSet(values=values, noise_var=float(noise_var))
+
+
+# The downlink measurement operator ``A(h_e)_k = theta_k^T h_e x_k`` and its
+# adjoint: the only general-channel downlink products, shared by synthesis,
+# the spectral start and the full-LS refinement, O(k m_ris n_bs) each. They
+# run on scipy's BLAS, as the full-LS factor does: numpy bundles a second
+# OpenBLAS, whose threads spin for 50-200 ms after a threaded product and
+# halve the speed of the next scipy BLAS call on 2 cores (``cherk`` at N = 32,
+# M = 50, K = 1700: 80-95 ms instead of 43 ms). ``zgemm`` reads Fortran
+# order, so its operands are transposed views and nothing is copied.
+
+
+def _downlink_forward(sched: PilotSchedule, h_e: np.ndarray) -> np.ndarray:
+    """``theta_k^T h_e x_k`` for every slot, shape (k,); ``h_e`` is (m_ris, n_bs)."""
+    expected = (sched.phases.shape[1], sched.pilots.shape[1])
+    if np.shape(h_e) != expected:
+        raise ValueError(
+            f"downlink channel must have shape (m_ris, n_bs) = {expected} for this "
+            f"schedule, got {np.shape(h_e)}"
+        )
+    steered = blas.zgemm(1.0, h_e.T, sched.phases.T).T  # (k, n_bs): phases @ h_e
+    return (steered * sched.pilots).sum(axis=1)
+
+
+def _downlink_adjoint(sched: PilotSchedule, values: np.ndarray) -> np.ndarray:
+    """``sum_k values_k conj(theta_k) x_k^H``, shape (m_ris, n_bs); ``values`` is (k,)."""
+    if np.shape(values) != (sched.k_pilots,):
+        raise ValueError(
+            f"downlink observations must have shape (k,) = {(sched.k_pilots,)} for this "
+            f"schedule, got {np.shape(values)}"
+        )
+    weighted = values[:, None] * sched.pilots.conj()
+    return blas.zgemm(1.0, weighted.T, sched.phases.T, trans_b=2).T
 
 
 def _require_uplink(sched, caller: str) -> None:

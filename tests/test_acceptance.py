@@ -3,10 +3,10 @@
 One test per registered criterion, so ``pytest -v`` prints one line per
 criterion; each test also echoes the PASS/FAIL detail line that the CLI
 ``verify`` subcommand would print. On an idle 2-core Xeon VM (BLAS thread
-variables unset) the whole test suite took 87-88 s of wall time in three
-runs (about 160 s of CPU time), of which estimator-ordering took 36-37 s,
-se-ordering 29-30 s and pilot-scaling 2.5 s. The VM's speed drifts by
-20 % or more between runs.
+variables unset), in a phase where it ran about 1.6 times slower than
+earlier measurements, the whole test suite took 142 s of wall time (254 s
+of CPU time), of which se-ordering took 55 s, estimator-ordering 47 s and
+pilot-scaling 4 s. The VM's speed drifts by 20 % or more between runs.
 """
 
 import itertools

@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg
 
 from rismf import (
+    MfConfig,
     PilotSchedule,
     SystemDims,
     baselines,
@@ -14,6 +15,7 @@ from rismf import (
     make_pilot_schedule,
     nmse,
     sample_channel,
+    simulate_downlink,
 )
 from rismf.signals import ObservationSet
 
@@ -230,3 +232,26 @@ class TestLrRankone:
         values[0] = np.nan
         with pytest.raises(ValueError, match="finite"):
             lr_rankone(ObservationSet(values=values, noise_var=0.5), sched)
+
+
+class TestObservationLength:
+    """Every downlink estimator rejects data whose length does not match the
+    schedule: the adjoint of the downlink operator, which checks it, is the
+    first reader of the data in all four."""
+
+    ESTIMATORS = {
+        "am": lambda obs, sched: estimate_single_user(obs, sched, MfConfig(solver="am")),
+        "gd": lambda obs, sched: estimate_single_user(obs, sched, MfConfig(solver="gd")),
+        "lr": lr_rankone,
+        "ls": ls_full,
+    }
+
+    @pytest.mark.parametrize("length", [1, 29, 31])
+    @pytest.mark.parametrize("name", sorted(ESTIMATORS))
+    def test_mismatched_length_rejected(self, name, length):
+        dims = SystemDims(n_bs=4, m_ris=6, k_pilots=30)
+        _, sched, obs = simulate_downlink(dims, 0.1, np.random.default_rng(320))
+        values = np.resize(obs.values, length)
+        wrong = ObservationSet(values=values, noise_var=obs.noise_var)
+        with pytest.raises(ValueError, match=r"\(30,\) for this schedule, got \(%d,\)" % length):
+            self.ESTIMATORS[name](wrong, sched)

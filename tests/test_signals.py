@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -20,7 +21,7 @@ from rismf import (
     sample_channel,
     uplink_observe,
 )
-from rismf.signals import ObservationSet
+from rismf.signals import ObservationSet, _downlink_adjoint, _downlink_forward
 
 
 class TestScheduleGenerators:
@@ -166,6 +167,13 @@ class TestScheduleTypes:
         with pytest.raises(ValueError, match="non-empty.*" + shapes):
             PilotSchedule(pilots=pilots, phases=phases)
 
+    def test_pilot_schedule_is_frozen(self):
+        # its cached autocorrelation and the downlink operator read the arrays it holds
+        sched = make_pilot_schedule(SystemDims(n_bs=4, m_ris=6, k_pilots=8),
+                                    np.random.default_rng(9))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sched.pilots = sched.pilots.copy()
+
     def test_both_links_share_the_dft_layout(self):
         # a DFT downlink schedule is built by hand
         dims = SystemDims(n_bs=4, m_ris=6, k_pilots=8, q_users=2, t_symbols=2)
@@ -267,6 +275,44 @@ class TestDownlinkObserve:
         a = downlink_observe(cas, sched, 0.5, rng_a)
         b = downlink_observe(cas, sched, 0.5, rng_b)
         np.testing.assert_array_equal(a.values, b.values)
+
+
+class TestDownlinkOperator:
+    """``_downlink_forward`` and ``_downlink_adjoint``, the one downlink
+    measurement operator and its adjoint."""
+
+    @staticmethod
+    def _case(k, seed):
+        rng = np.random.default_rng(seed)
+        sched = make_pilot_schedule(SystemDims(n_bs=4, m_ris=6, k_pilots=k), rng)
+        h_e = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
+        values = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+        return sched, h_e, values
+
+    @pytest.mark.parametrize("k", [10, 24, 40])
+    def test_adjoint_identity(self, k):
+        # <A(H), r> = <H, A^H(r)>, both inner products conjugate-linear in the first slot
+        sched, h_e, values = self._case(k, seed=40 + k)
+        left = np.vdot(_downlink_forward(sched, h_e), values)
+        right = np.vdot(h_e, _downlink_adjoint(sched, values))
+        assert abs(left - right) <= 1e-12 * abs(left)
+
+    @pytest.mark.parametrize("k", [10, 24, 40])
+    def test_forward_is_the_vectorized_design(self, k):
+        # row k = x_k kron theta_k acting on the column-stacked vec(h_e)
+        sched, h_e, _ = self._case(k, seed=50 + k)
+        design = np.einsum("kn,km->knm", sched.pilots, sched.phases).reshape(k, -1)
+        expected = design @ h_e.ravel(order="F")
+        np.testing.assert_allclose(_downlink_forward(sched, h_e), expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(6, 5), (7, 4)])
+    def test_observe_rejects_a_mismatched_cascade(self, shape):
+        sched, _, _ = self._case(12, seed=60)
+        rng = np.random.default_rng(61)
+        wrong = cascaded_downlink(np.ones(shape[0], dtype=complex),
+                                  rng.standard_normal(shape) + 0j)
+        with pytest.raises(ValueError, match=re.escape(f"(6, 4) for this schedule, got {shape}")):
+            downlink_observe(wrong, sched, 0.0)
 
 
 class TestUplinkObserve:
