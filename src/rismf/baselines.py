@@ -6,7 +6,13 @@ import numpy as np
 from scipy.linalg import blas, lapack
 
 from .mf import EstimateResult, _misfit, _scaled_lstsq, _solve, spectral_matrix
-from .signals import ObservationSet, PilotSchedule, _downlink_adjoint, _downlink_forward
+from .signals import (
+    ObservationSet,
+    PilotSchedule,
+    _check_downlink_values,
+    _downlink_adjoint,
+    _downlink_forward,
+)
 
 __all__ = ["ls_full", "lr_rankone"]
 
@@ -35,6 +41,7 @@ def ls_full(obs: ObservationSet, sched: PilotSchedule) -> np.ndarray:
     cells ran the 10 refinement steps and still fell back, so the square
     budget skips complex64.
     """
+    _check_downlink_values(sched, obs.values)
     k, n_bs = sched.pilots.shape
     m_ris = sched.phases.shape[1]
     unknowns = m_ris * n_bs

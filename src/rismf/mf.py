@@ -15,6 +15,14 @@ start from a spectral initialization and sweep in :func:`_solve`, the one
 solve loop, which the free rank-one baseline shares: one stop rule, one
 ``converged`` flag, and solves that run one at a time per process on one
 numpy BLAS thread.
+
+Because ``a_bar`` is the exact LS solution at each angle, AM is a
+fixed-point iteration in the one scalar ``psi``, and it converges only
+linearly: at N = 32, M = 50, K = 400 the misfit excess shrinks by a factor
+of 0.60-0.77 a sweep. So every second AM sweep also tries an Aitken
+delta-squared jump of the angle (Aitken, Proc. R. Soc. Edinburgh 46, 1926;
+:func:`_am_sweep`), guarded and kept only if it does not raise the misfit.
+On 1400 paper-size cells this took the median from 39 sweeps to 5.
 """
 
 from __future__ import annotations
@@ -46,6 +54,9 @@ __all__ = [
 ]
 
 _DEFAULT_ITERS = {"am": 200, "gd": 2000}
+# The angle search's grid has this many points per BS antenna. Its spacing,
+# 1 / (8 n_bs), also caps an extrapolated AM angle step.
+_GRID_DENSITY = 8
 # Stop once a sweep lowers the misfit by at most this fraction of its value.
 _TOL_OBJECTIVE = 1e-10
 # GD halves its unit trial step at most this many times.
@@ -242,7 +253,7 @@ def maximize_over_manifold(coef: np.ndarray) -> float:
     polish above the grid maximum. The grid argmax is always kept.
     """
     n = coef.shape[0]
-    n_grid = 8 * n
+    n_grid = _GRID_DENSITY * n
     spacing = 1.0 / n_grid
     grid = n_grid * np.fft.ifft(coef, n_grid).real
     top = np.argmax(grid)
@@ -332,14 +343,20 @@ def am_iterate(
     peak and the lower twin can win (FOUND under cba75d8 in CHANGES.md).
     The candidate is accepted only if the directly evaluated objective does
     not increase, which guards against rounding in the polynomial form. Then
-    the exact LS update of ``a_bar`` at the accepted angle, which can only
-    decrease the objective further, so the sweep is monotone by construction.
+    the exact LS update of ``a_bar`` at the accepted angle, which in exact
+    arithmetic can only decrease the objective further. At the optimum the
+    LS solve can round the misfit up by an ulp or so (seen after an Aitken
+    jump of :func:`_am_sweep`); such a sweep returns its input unchanged, so
+    the sweep is monotone.
     """
-    candidate = maximize_over_manifold(_angle_coefficients(a_bar, obs, sched))
-    if objective(a_bar, candidate, obs, sched) <= value:
-        psi = candidate
-    a_bar = ls_a_bar(psi, obs, sched)
-    return a_bar, psi, objective(a_bar, psi, obs, sched)
+    angle = maximize_over_manifold(_angle_coefficients(a_bar, obs, sched))
+    if objective(a_bar, angle, obs, sched) > value:
+        angle = psi
+    new_a_bar = ls_a_bar(angle, obs, sched)
+    new_value = objective(new_a_bar, angle, obs, sched)
+    if new_value > value:
+        return a_bar, psi, value
+    return new_a_bar, angle, new_value
 
 
 def _gd_terms(
@@ -431,6 +448,58 @@ def _spectral_start(obs: ObservationSet, sched: PilotSchedule):
     return a_bar, psi, objective(a_bar, psi, obs, sched)
 
 
+def _am_start(obs: ObservationSet, sched: PilotSchedule):
+    """The spectral start, plus the trail of angles the extrapolation reads."""
+    a_bar, psi, value = _spectral_start(obs, sched)
+    return a_bar, psi, (psi,), value
+
+
+def _am_sweep(a_bar, psi, trail, value, obs: ObservationSet, sched: PilotSchedule):
+    """One :func:`am_iterate`; every second sweep then tries an Aitken jump.
+
+    ``trail`` holds the angles since the last try. Once it holds two steps,
+    the jump goes to their Aitken limit (:func:`_aitken_angle`), with the
+    exact LS ``a_bar`` there, and is kept only if its misfit is no higher
+    than the sweep's. A rank-deficient LS design at the jump skips it.
+    """
+    a_bar, psi, value = am_iterate(a_bar, psi, value, obs, sched)
+    if len(trail) < 2:
+        return a_bar, psi, trail + (psi,), value
+    jump = _aitken_angle(*trail, psi, sched.pilots.shape[1])
+    if jump is not None:
+        try:
+            jump_a_bar = ls_a_bar(jump, obs, sched)
+        except ValueError:
+            return a_bar, psi, (psi,), value
+        jump_value = objective(jump_a_bar, jump, obs, sched)
+        if jump_value <= value:
+            a_bar, psi, value = jump_a_bar, jump, jump_value
+    return a_bar, psi, (psi,), value
+
+
+def _aitken_angle(psi0: float, psi1: float, psi2: float, n_bs: int) -> float | None:
+    """Aitken's delta-squared limit ``psi2 + d2^2 / (d1 - d2)`` of three
+    angles on the circle, or None when it should not be tried.
+
+    ``d1`` and ``d2`` are the two steps, each wrapped into [-0.5, 0.5). The
+    limit is tried only when the steps contract in one direction,
+    ``0 < d2 / d1 < 1``, and its step is finite and at most one grid spacing
+    of the angle search, ``1 / (8 n_bs)``. Near the pilot floor, where the
+    misfit has minima closer than that, a jump can still land in a worse
+    one: over 300 cells at K = 51, 52 and 55 (N = 32, M = 50, 10 dB), 26
+    ended above plain AM's misfit without these guards and 4 with them.
+    """
+    d1 = (psi1 - psi0 + 0.5) % 1.0 - 0.5
+    d2 = (psi2 - psi1 + 0.5) % 1.0 - 0.5
+    if d1 == 0.0 or not 0.0 < d2 / d1 < 1.0:
+        return None
+    step = d2 * d2 / (d1 - d2)
+    if not abs(step) <= 1.0 / (_GRID_DENSITY * n_bs):  # also false for inf and nan
+        return None
+    jump = (psi2 + step) % 1.0
+    return jump if jump < 1.0 else 0.0
+
+
 def estimate_single_user(
     obs: ObservationSet,
     sched: PilotSchedule,
@@ -439,13 +508,21 @@ def estimate_single_user(
     """Full estimator: spectral init, then AM or GD sweeps until the shared
     stop rule holds or after ``max_iters`` sweeps (:func:`_solve`).
 
+    An AM sweep is one :func:`am_iterate`; every second one also tries an
+    Aitken jump of the angle (:func:`_am_sweep`), which costs a second LS
+    solve. ``iters_used`` counts sweeps, a sweep with a jump once, and each
+    sweep adds one entry to the non-increasing ``objective_history``.
+
     The estimator is deterministic in the data; only the (a_bar, psi)
     product is identifiable, and the returned ``h_e_hat`` is that product.
     """
     config = config or MfConfig()
-    sweep = am_iterate if config.solver == "am" else gd_iterate
-    (a_bar, psi), history, converged = _solve(
-        _spectral_start, sweep, obs, sched, config.resolved_max_iters()
+    if config.solver == "am":
+        start, sweep = _am_start, _am_sweep
+    else:
+        start, sweep = _spectral_start, gd_iterate
+    (a_bar, psi, *_), history, converged = _solve(
+        start, sweep, obs, sched, config.resolved_max_iters()
     )
     return EstimateResult(
         a_bar_hat=a_bar,

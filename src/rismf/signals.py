@@ -274,13 +274,18 @@ def _downlink_forward(sched: PilotSchedule, h_e: np.ndarray) -> np.ndarray:
     return (steered * sched.pilots).sum(axis=1)
 
 
-def _downlink_adjoint(sched: PilotSchedule, values: np.ndarray) -> np.ndarray:
-    """``sum_k values_k conj(theta_k) x_k^H``, shape (m_ris, n_bs); ``values`` is (k,)."""
+def _check_downlink_values(sched: PilotSchedule, values: np.ndarray) -> None:
+    """Raise ``ValueError`` unless ``values`` has one entry per slot of ``sched``."""
     if np.shape(values) != (sched.k_pilots,):
         raise ValueError(
             f"downlink observations must have shape (k,) = {(sched.k_pilots,)} for this "
             f"schedule, got {np.shape(values)}"
         )
+
+
+def _downlink_adjoint(sched: PilotSchedule, values: np.ndarray) -> np.ndarray:
+    """``sum_k values_k conj(theta_k) x_k^H``, shape (m_ris, n_bs); ``values`` is (k,)."""
+    _check_downlink_values(sched, values)
     weighted = values[:, None] * sched.pilots.conj()
     return blas.zgemm(1.0, weighted.T, sched.phases.T, trans_b=2).T
 

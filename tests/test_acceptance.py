@@ -3,10 +3,10 @@
 One test per registered criterion, so ``pytest -v`` prints one line per
 criterion; each test also echoes the PASS/FAIL detail line that the CLI
 ``verify`` subcommand would print. On an idle 2-core Xeon VM (BLAS thread
-variables unset), in a phase where it ran about 1.6 times slower than
-earlier measurements, the whole test suite took 142 s of wall time (254 s
-of CPU time), of which se-ordering took 55 s, estimator-ordering 47 s and
-pilot-scaling 4 s. The VM's speed drifts by 20 % or more between runs.
+variables unset) the whole test suite took 67 s of wall time, of which
+se-ordering took 11 s, estimator-ordering 31 s and pilot-scaling 4 s. Run
+back to back before AM's Aitken sweeps, it took 108 s, with se-ordering at
+42 s. The VM's speed drifts by 20 % or more between runs.
 """
 
 import itertools

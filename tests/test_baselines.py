@@ -98,6 +98,20 @@ def spy_on_cpotrs(monkeypatch):
     return steps
 
 
+def spy_on_herk(monkeypatch):
+    """Record each Gram formed by ``cherk`` or ``zherk``."""
+    grams = []
+    for name in ("cherk", "zherk"):
+        herk = getattr(scipy.linalg.blas, name)
+
+        def counted(*args, herk=herk, name=name, **kwargs):
+            grams.append(name)
+            return herk(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg.blas, name, counted)
+    return grams
+
+
 def near_dependent_pilots(spread):
     """The K = 40 schedule of ``default_rng(0)`` with pilot column 1 moved
     to column 0 plus ``spread`` times a complex normal draw, and data."""
@@ -236,8 +250,9 @@ class TestLrRankone:
 
 class TestObservationLength:
     """Every downlink estimator rejects data whose length does not match the
-    schedule: the adjoint of the downlink operator, which checks it, is the
-    first reader of the data in all four."""
+    schedule, with the one message of the downlink operator's check: the
+    operator's adjoint is the first reader of the data in MF_AM, MF_GD and
+    LR, and ``ls_full`` runs the check before it builds its design."""
 
     ESTIMATORS = {
         "am": lambda obs, sched: estimate_single_user(obs, sched, MfConfig(solver="am")),
@@ -255,3 +270,14 @@ class TestObservationLength:
         wrong = ObservationSet(values=values, noise_var=obs.noise_var)
         with pytest.raises(ValueError, match=r"\(30,\) for this schedule, got \(%d,\)" % length):
             self.ESTIMATORS[name](wrong, sched)
+
+    def test_ls_full_rejects_before_the_gram(self, monkeypatch):
+        grams = spy_on_herk(monkeypatch)
+        dims = SystemDims(n_bs=4, m_ris=6, k_pilots=30)
+        _, sched, obs = simulate_downlink(dims, 0.1, np.random.default_rng(321))
+        short = ObservationSet(values=obs.values[:-1], noise_var=obs.noise_var)
+        with pytest.raises(ValueError, match=r"\(30,\) for this schedule, got \(29,\)"):
+            ls_full(short, sched)
+        assert grams == []
+        ls_full(obs, sched)
+        assert grams == ["cherk"]  # the spy sees the Gram of a well-formed call
