@@ -12,7 +12,6 @@ attains the floor of :func:`predicted_mse`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +19,7 @@ import scipy.linalg
 
 from .channel import array_response
 from .mf import manifold_coefficients, maximize_over_manifold
-from .signals import ObservationSet, UplinkSchedule, _require_uplink, despread
+from .signals import ObservationSet, UplinkSchedule, _check_noise_var, _require_uplink, despread
 
 __all__ = [
     "MultiUserEstimate",
@@ -98,11 +97,10 @@ def predicted_mse(noise_var: float, sched: UplinkSchedule) -> float:
     ``noise_var m_ris / (K T)``. The trace is the squared Frobenius norm of
     the inverse of the schedule's cached Cholesky factor, which LAPACK
     ``trtri`` inverts in place of a solve against the identity. A negative
-    or non-finite ``noise_var`` is a ``ValueError``.
+    or non-finite ``noise_var`` is a ``ValueError``, as in synthesis.
     """
     _require_uplink(sched, "predicted_mse")
-    if not (math.isfinite(noise_var) and noise_var >= 0.0):
-        raise ValueError(f"noise_var must be finite and nonnegative, got {noise_var}")
+    _check_noise_var(noise_var)
     triangle, lower = sched.phase_gram_factor
     # cho_factor leaves Gram entries in the factor's unused triangle
     inverse, _ = _TRTRI(np.tril(triangle) if lower else np.triu(triangle), lower=lower)

@@ -10,6 +10,10 @@ The uplink schedule draws nothing, so :func:`make_uplink_schedule` hands
 every caller and sweep thread one cached, read-only :class:`UplinkSchedule`
 per set of dimensions; its :attr:`~UplinkSchedule.phase_gram_factor` serves
 every stage-2 solve and MSE prediction on it.
+
+Both observe functions add noise of variance ``noise_var`` through one
+helper, which rejects a negative or non-finite variance before it draws. No
+estimator reads the variance, so :class:`ObservationSet` holds values only.
 """
 
 from __future__ import annotations
@@ -142,24 +146,37 @@ class UplinkSchedule:
         return triangle, lower
 
 
-@dataclass
+@dataclass(frozen=True)
 class ObservationSet:
-    """Received training data plus the per-sample noise variance.
+    """Received training data; the noise variance stays with synthesis.
 
     ``values`` is (k,) of scalars in the downlink and (k, n_bs, t_symbols)
-    of received blocks in the uplink. Non-finite values and a negative or
-    non-finite ``noise_var`` raise ``ValueError`` here, so every estimator
-    rejects bad data before it starts.
+    of received blocks in the uplink. Non-finite values raise ``ValueError``
+    here, so every estimator rejects bad data before it starts.
     """
 
     values: np.ndarray
-    noise_var: float
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.values)):
             raise ValueError("observations must be finite (NaN or inf in values)")
-        if not (math.isfinite(self.noise_var) and self.noise_var >= 0.0):
-            raise ValueError(f"noise_var must be finite and nonnegative, got {self.noise_var}")
+
+
+def _check_noise_var(noise_var: float) -> None:
+    """Raise ``ValueError`` unless ``noise_var`` is finite and nonnegative."""
+    if not (math.isfinite(noise_var) and noise_var >= 0.0):
+        raise ValueError(f"noise_var must be finite and nonnegative, got {noise_var}")
+
+
+def _observation(clean: np.ndarray, noise_var: float, rng) -> ObservationSet:
+    """C-contiguous ``clean`` plus i.i.d. ``complex_normal`` noise of variance ``noise_var``."""
+    _check_noise_var(noise_var)
+    if noise_var == 0.0:
+        return ObservationSet(values=np.ascontiguousarray(clean))
+    if rng is None:
+        raise ValueError("noisy observation needs an rng")
+    noise = complex_normal(rng, clean.shape, var=noise_var)
+    return ObservationSet(values=np.add(noise, clean, out=noise))
 
 
 def random_pilots(n_bs: int, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -239,17 +256,12 @@ def downlink_observe(
     """Scalar downlink observations ``r_k = theta_k^T h_e x_k + n_k``.
 
     ``n_k`` is complex Gaussian with variance ``noise_var`` (SNR = 1/noise_var
-    under the unit-norm pilot convention). ``noise_var = 0`` gives the exact
-    model output.
+    under the unit-norm pilot convention), finite and >= 0, checked before any
+    draw; ``noise_var = 0`` gives the exact model output and needs no ``rng``.
     """
     if chan.uplink:
         raise ValueError("downlink_observe needs a downlink cascade")
-    values = _downlink_forward(sched, chan.h_e)
-    if noise_var > 0.0:
-        if rng is None:
-            raise ValueError("noisy observation needs an rng")
-        values = values + complex_normal(rng, values.shape, var=noise_var)
-    return ObservationSet(values=values, noise_var=float(noise_var))
+    return _observation(_downlink_forward(sched, chan.h_e), noise_var, rng)
 
 
 # The downlink measurement operator ``A(h_e)_k = theta_k^T h_e x_k`` and its
@@ -324,14 +336,7 @@ def uplink_observe(
     mixed = sched.user_pilots.T @ h_users  # (t, m): X^T H
     slots = (sched.phases[:, None, :] * mixed).reshape(k * t_symbols, m_ris)
     received = (slots @ g_uplink.T).reshape(k, t_symbols, n_bs).transpose(0, 2, 1)
-    if noise_var > 0.0:
-        if rng is None:
-            raise ValueError("noisy observation needs an rng")
-        noise = complex_normal(rng, received.shape, var=noise_var)
-        values = np.add(noise, received, out=noise)
-    else:
-        values = np.ascontiguousarray(received)
-    return ObservationSet(values=values, noise_var=float(noise_var))
+    return _observation(received, noise_var, rng)
 
 
 def despread(obs: ObservationSet, sched: UplinkSchedule) -> np.ndarray:

@@ -63,12 +63,12 @@ class TestLsFull:
 
     def test_zero_observations_give_zero_matrix(self):
         _, sched, _, obs = make_case(306)
-        zero = ObservationSet(values=np.zeros_like(obs.values), noise_var=0.0)
+        zero = ObservationSet(values=np.zeros_like(obs.values))
         assert np.abs(ls_full(zero, sched)).max() <= 1e-12
 
     def test_linear_in_the_observations(self):
         _, sched, _, obs = make_case(307, noise_var=1.0)
-        doubled = ObservationSet(values=2.0 * obs.values, noise_var=obs.noise_var)
+        doubled = ObservationSet(values=2.0 * obs.values)
         np.testing.assert_allclose(
             ls_full(doubled, sched), 2.0 * ls_full(obs, sched), atol=1e-10
         )
@@ -121,7 +121,7 @@ def near_dependent_pilots(spread):
     pilots[:, 1] = pilots[:, 0] + spread * rng.standard_normal((40, 2)).view(complex)[:, 0]
     pilots /= np.linalg.norm(pilots, axis=1, keepdims=True)
     values = rng.standard_normal((40, 2)).view(complex)[:, 0]
-    return PilotSchedule(pilots, sched.phases), ObservationSet(values=values, noise_var=1.0)
+    return PilotSchedule(pilots, sched.phases), ObservationSet(values=values)
 
 
 class TestLsFullMixedPrecision:
@@ -142,7 +142,7 @@ class TestLsFullMixedPrecision:
         # refinement returns the zero solution instead of falling back
         calls = spy_on_double_solve(monkeypatch)
         _, sched, _, obs = make_case(306, k=40)
-        zero = ObservationSet(values=np.zeros_like(obs.values), noise_var=0.0)
+        zero = ObservationSet(values=np.zeros_like(obs.values))
         assert np.array_equal(ls_full(zero, sched), np.zeros((6, 4)))
         assert calls == []
 
@@ -150,7 +150,7 @@ class TestLsFullMixedPrecision:
     def test_complex64_range_does_not_limit_the_data(self, scale):
         # the residuals are rescaled before they meet single precision
         _, sched, _, obs = make_case(322, k=40, noise_var=1.0)
-        scaled = ObservationSet(values=scale * obs.values, noise_var=obs.noise_var)
+        scaled = ObservationSet(values=scale * obs.values)
         np.testing.assert_allclose(
             ls_full(scaled, sched), scale * ls_full(obs, sched), rtol=1e-12, atol=0.0
         )
@@ -211,7 +211,7 @@ class TestLrRankone:
             h_e = np.outer(u, v.conj())
             sched = make_pilot_schedule(dims, rng)
             values = (sched.phases @ u) * (sched.pilots @ v.conj())
-            obs = ObservationSet(values=values, noise_var=0.0)
+            obs = ObservationSet(values=values)
 
             free = lr_rankone(obs, sched)
             assert nmse(h_e, free.h_e_hat) <= 1e-8
@@ -245,7 +245,7 @@ class TestLrRankone:
         values = obs.values.copy()
         values[0] = np.nan
         with pytest.raises(ValueError, match="finite"):
-            lr_rankone(ObservationSet(values=values, noise_var=0.5), sched)
+            lr_rankone(ObservationSet(values=values), sched)
 
 
 class TestObservationLength:
@@ -267,7 +267,7 @@ class TestObservationLength:
         dims = SystemDims(n_bs=4, m_ris=6, k_pilots=30)
         _, sched, obs = simulate_downlink(dims, 0.1, np.random.default_rng(320))
         values = np.resize(obs.values, length)
-        wrong = ObservationSet(values=values, noise_var=obs.noise_var)
+        wrong = ObservationSet(values=values)
         with pytest.raises(ValueError, match=r"\(30,\) for this schedule, got \(%d,\)" % length):
             self.ESTIMATORS[name](wrong, sched)
 
@@ -275,7 +275,7 @@ class TestObservationLength:
         grams = spy_on_herk(monkeypatch)
         dims = SystemDims(n_bs=4, m_ris=6, k_pilots=30)
         _, sched, obs = simulate_downlink(dims, 0.1, np.random.default_rng(321))
-        short = ObservationSet(values=obs.values[:-1], noise_var=obs.noise_var)
+        short = ObservationSet(values=obs.values[:-1])
         with pytest.raises(ValueError, match=r"\(30,\) for this schedule, got \(29,\)"):
             ls_full(short, sched)
         assert grams == []

@@ -87,14 +87,14 @@ class TestSpectralMatrix:
         pilots[0, 0] = 1.0
         phases = np.ones((1, 6), dtype=complex)
         sched = PilotSchedule(pilots=pilots, phases=phases)
-        obs = ObservationSet(values=np.array([1.0 + 0j]), noise_var=0.0)
+        obs = ObservationSet(values=np.array([1.0 + 0j]))
         s = spectral_matrix(obs, sched)
         expected = np.sqrt(4) * np.outer(phases[0].conj(), pilots[0].conj())
         np.testing.assert_allclose(s, expected, atol=1e-14)
 
     def test_zero_observations_give_zero_matrix(self):
         _, sched, _, obs = make_case(111)
-        zero = ObservationSet(values=np.zeros_like(obs.values), noise_var=0.0)
+        zero = ObservationSet(values=np.zeros_like(obs.values))
         assert np.all(spectral_matrix(zero, sched) == 0.0)
 
     def test_matches_loop_accumulation(self):
@@ -119,12 +119,13 @@ def manifold_score(gram, linear, angles):
 def angle_objectives(seed):
     """The three (G, w) pairs the callers hand to the search, on one N=16 cell."""
     rng = np.random.default_rng(seed)
-    _, sched, _, obs = make_case(seed, noise_var=float(rng.uniform(0.01, 3.0)))
+    noise_var = float(rng.uniform(0.01, 3.0))
+    _, sched, _, obs = make_case(seed, noise_var=noise_var)
     s = spectral_matrix(obs, sched)
     a_bar = rng.standard_normal(32) + 1j * rng.standard_normal(32)
     scaled = ((sched.phases @ a_bar)[:, None] * sched.pilots).T
     uplink_dims = SystemDims(n_bs=16, m_ris=32, k_pilots=64, q_users=3, t_symbols=3)
-    _, up_sched, up_obs = simulate_uplink(uplink_dims, obs.noise_var, rng)
+    _, up_sched, up_obs = simulate_uplink(uplink_dims, noise_var, rng)
     z = np.hstack(despread(up_obs, up_sched))
     return {
         "spectral": (s.conj().T @ s, None),
@@ -223,7 +224,7 @@ class TestAngleCoefficients:
         scaled = ((sched.phases @ a_bar)[:, None] * sched.pilots).T
         reference = manifold_coefficients(-(scaled @ scaled.conj().T))
         reference += 2.0 * (scaled @ values.conj()) / np.sqrt(n_bs)
-        coef = _angle_coefficients(a_bar, ObservationSet(values=values, noise_var=0.1), sched)
+        coef = _angle_coefficients(a_bar, ObservationSet(values=values), sched)
         assert np.linalg.norm(coef - reference) <= 1e-12 * np.linalg.norm(reference)
 
     def test_autocorrelation_computed_once_per_schedule(self, monkeypatch):
@@ -277,7 +278,7 @@ class TestLsABar:
 
     def test_zero_observations_give_zero(self):
         _, sched, _, obs = make_case(142)
-        zero = ObservationSet(values=np.zeros_like(obs.values), noise_var=0.0)
+        zero = ObservationSet(values=np.zeros_like(obs.values))
         assert np.linalg.norm(ls_a_bar(0.37, zero, sched)) <= 1e-12
 
     def test_underdetermined_rejected(self):
@@ -467,14 +468,14 @@ class TestEstimateSingleUser:
         values[3] = np.nan
         with pytest.raises(ValueError, match="finite"):
             estimate_single_user(
-                ObservationSet(values=values, noise_var=0.1), sched, MfConfig(solver=solver)
+                ObservationSet(values=values), sched, MfConfig(solver=solver)
             )
 
     @pytest.mark.parametrize("solver", ["am", "gd", "lr"])
     def test_zero_data_rejected(self, solver):
         # the one solve loop names the data, not the spectral matrix or the LS design
         _, sched, _, obs = make_case(187)
-        zero = ObservationSet(values=np.zeros_like(obs.values), noise_var=0.0)
+        zero = ObservationSet(values=np.zeros_like(obs.values))
         with pytest.raises(ValueError, match="observations are identically zero"):
             if solver == "lr":
                 lr_rankone(zero, sched)

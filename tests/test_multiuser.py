@@ -255,7 +255,7 @@ class TestEstimateMultiUser:
         values = obs.values.copy()
         values[2, 1, 0] = np.nan
         with pytest.raises(ValueError, match="finite"):
-            estimate_multi_user(ObservationSet(values=values, noise_var=0.5), sched)
+            estimate_multi_user(ObservationSet(values=values), sched)
 
     def test_stage_two_error_matches_prediction(self):
         # with the true angle injected, the empirical a_bar MSE over many

@@ -174,6 +174,13 @@ class TestScheduleTypes:
         with pytest.raises(dataclasses.FrozenInstanceError):
             sched.pilots = sched.pilots.copy()
 
+    def test_observation_set_is_frozen_with_values_only(self):
+        # the noise variance is a synthesis parameter; no estimator reads it
+        obs = ObservationSet(values=np.zeros(4, dtype=complex))
+        assert [field.name for field in dataclasses.fields(obs)] == ["values"]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            obs.values = np.ones(4, dtype=complex)
+
     def test_both_links_share_the_dft_layout(self):
         # a DFT downlink schedule is built by hand
         dims = SystemDims(n_bs=4, m_ris=6, k_pilots=8, q_users=2, t_symbols=2)
@@ -275,6 +282,31 @@ class TestDownlinkObserve:
         a = downlink_observe(cas, sched, 0.5, rng_a)
         b = downlink_observe(cas, sched, 0.5, rng_b)
         np.testing.assert_array_equal(a.values, b.values)
+
+
+def _observe_downlink(noise_var, rng):
+    dims = SystemDims(n_bs=4, m_ris=6, k_pilots=8)
+    chan = sample_channel(dims, np.random.default_rng(13))
+    sched = make_pilot_schedule(dims, np.random.default_rng(14))
+    cascade = cascaded_downlink(chan.h_r, chan.g_matrix, psi=chan.psi)
+    return downlink_observe(cascade, sched, noise_var, rng)
+
+
+def _observe_uplink(noise_var, rng):
+    dims = SystemDims(n_bs=4, m_ris=6, k_pilots=8, q_users=2, t_symbols=2)
+    chan = sample_channel(dims, np.random.default_rng(15))
+    return uplink_observe(chan.g_uplink(), chan.h_users, make_uplink_schedule(dims),
+                          noise_var, rng)
+
+
+@pytest.mark.parametrize("observe", [_observe_downlink, _observe_uplink])
+@pytest.mark.parametrize("noise_var", [-1.0, np.nan, np.inf])
+def test_bad_noise_variance_rejected_before_any_draw(observe, noise_var):
+    rng = np.random.default_rng(16)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="noise_var"):
+        observe(noise_var, rng)
+    assert rng.bit_generator.state == state
 
 
 class TestDownlinkOperator:
@@ -444,14 +476,14 @@ class TestDespread:
 
     def test_linearity(self):
         chan, g_up, sched, obs = self._setup()
-        doubled = ObservationSet(values=2.0 * obs.values, noise_var=obs.noise_var)
+        doubled = ObservationSet(values=2.0 * obs.values)
         np.testing.assert_allclose(
             despread(doubled, sched)[1], 2.0 * despread(obs, sched)[1], atol=1e-12
         )
 
     def test_rejects_downlink_observations(self):
         sched = make_uplink_schedule(SystemDims(n_bs=4, m_ris=6, k_pilots=8))
-        flat = ObservationSet(values=np.zeros(8, dtype=complex), noise_var=0.0)
+        flat = ObservationSet(values=np.zeros(8, dtype=complex))
         with pytest.raises(ValueError):
             despread(flat, sched)
 
