@@ -37,9 +37,8 @@ def ls_full(obs: ObservationSet, sched: PilotSchedule) -> np.ndarray:
     al., SC 2006; Carson and Higham, SIAM J. Sci. Comput. 40(2), 2018). If
     that does not converge, and always at the square budget
     k = m_ris * n_bs, it runs with a complex128 factor; a failed complex128
-    factor is "rank deficient". At k = MN = 1600 (N = 32, M = 50) 11 of 16
-    cells ran the 10 refinement steps and still fell back, so the square
-    budget skips complex64.
+    factor is "rank deficient". The square budget skips complex64, where
+    refinement mostly runs all its steps and still falls back.
     """
     _check_downlink_values(sched, obs.values)
     k, n_bs = sched.pilots.shape
@@ -72,18 +71,13 @@ def _normal_solve(values: np.ndarray, sched: PilotSchedule, dtype) -> np.ndarray
     ``D^H (r - D vec)``, taken straight from the schedule by the downlink
     operator :func:`~rismf.signals._downlink_forward` and its adjoint,
     O(k m n) each, with no float64 design; one ``?potrs`` turns a residual
-    into a correction. At N = 32, M = 50, k = 1700 on a 2-core Xeon VM with
-    OpenBLAS threads unset, ``cherk`` took 43 ms against 87 ms for
-    ``zherk``, ``cpotrf`` 21 ms against 39 ms for ``zpotrf``, and a
-    refinement step about 2.5 ms.
+    into a correction.
 
     A complex128 factor returns its first solve. A complex64 factor is
     refined until a correction is at most 1e-14 of the solution's norm, or
     until it fails to halve the previous one but is already at most 1e-12:
     corrections level off near cond(Gram) * eps64, which can sit above
     1e-14. A stall above 1e-12 or 10 steps without stopping returns None.
-    At k = 1700, 16 of 16 cells stopped after 5 steps; at k = MN + 20,
-    after 5 or 6.
     """
     prefix = "c" if dtype == np.complex64 else "z"
     pilots, phases = sched.pilots, sched.phases

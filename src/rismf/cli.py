@@ -3,7 +3,8 @@
 Subcommands: ``single-user`` (downlink NMSE/SE sweep), ``multi-user``
 (uplink NMSE-vs-K sweep), ``overhead`` (minimal pilot counts), ``verify``
 (acceptance property suite). Exit codes: 0 success, 1 invalid spec or usage,
-2 I/O error, 3 acceptance failure.
+2 I/O error, 3 a criterion that FAILs or XPASSes (an expected failure that
+passed).
 """
 
 from __future__ import annotations
@@ -11,14 +12,21 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 
 import numpy as np
 
 from .channel import SystemDims
-from .experiments import ExperimentSpec, aggregate_nmse, overhead_table, run_sweep, write_results
+from .experiments import (
+    ExperimentSpec,
+    _SNR_GRID_DB,
+    aggregate_nmse,
+    overhead_table,
+    run_sweep,
+    write_results,
+)
 
 _DEFAULT_DIMS = dict(n_bs=32, m_ris=50)
-_SNR_DEFAULT = [-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -32,7 +40,7 @@ def _default_spec(scenario: str) -> ExperimentSpec:
         return ExperimentSpec(
             scenario=scenario,
             dims=SystemDims(**_DEFAULT_DIMS),
-            snr_grid_db=list(_SNR_DEFAULT),
+            snr_grid_db=list(_SNR_GRID_DB),
             k_grid=[400],
             estimators=("MF_AM", "LR"),
             n_trials=200,
@@ -124,24 +132,20 @@ def _cmd_overhead(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .acceptance import CRITERIA, run_criterion
+    from .acceptance import select_criteria
 
-    known = [name for name, _ in CRITERIA]
-    names = args.criteria or known
-    unknown = sorted(set(names) - set(known))
-    if unknown:
-        raise ValueError(f"unknown criteria: {unknown}; choose from {known}")
-    failures = 0
-    for name in names:
-        result = run_criterion(name)
-        status = "PASS" if result.passed else "FAIL"
-        print(f"{status} {result.name} ({result.elapsed_s:.1f}s): {result.detail}")
-        failures += not result.passed
-    if failures:
-        print(f"{failures}/{len(names)} criteria failed")
-        return 3
-    print(f"all {len(names)} criteria passed")
-    return 0
+    tally = Counter()  # statuses in order of first appearance
+    for criterion in select_criteria(args.criteria):
+        result = criterion.run()
+        print(result.line)
+        tally[result.status] += 1
+    total = sum(tally.values())
+    if tally["PASS"] == total:
+        print(f"all {total} criteria passed")
+    else:
+        counts = ", ".join(f"{count} {status}" for status, count in tally.items())
+        print(f"{total} criteria: {counts}")
+    return 3 if tally["FAIL"] or tally["XPASS"] else 0
 
 
 def _build_parser() -> _Parser:

@@ -45,6 +45,9 @@ __all__ = [
 
 CSV_HEADER = "scenario,estimator,snr_db,k,trial,seed,nmse,se"
 
+# The paper's SNR grid (dB): the downlink sweep's default and se-ordering's points.
+_SNR_GRID_DB = (-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0)
+
 
 @dataclass(frozen=True)
 class Estimator:

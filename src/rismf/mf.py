@@ -18,11 +18,9 @@ numpy BLAS thread.
 
 Because ``a_bar`` is the exact LS solution at each angle, AM is a
 fixed-point iteration in the one scalar ``psi``, and it converges only
-linearly: at N = 32, M = 50, K = 400 the misfit excess shrinks by a factor
-of 0.60-0.77 a sweep. So every second AM sweep also tries an Aitken
-delta-squared jump of the angle (Aitken, Proc. R. Soc. Edinburgh 46, 1926;
-:func:`_am_sweep`), guarded and kept only if it does not raise the misfit.
-On 1400 paper-size cells this took the median from 39 sweeps to 5.
+linearly. So every second AM sweep also tries an Aitken delta-squared jump
+of the angle (Aitken, Proc. R. Soc. Edinburgh 46, 1926; :func:`_am_sweep`),
+guarded and kept only if it does not raise the misfit.
 """
 
 from __future__ import annotations
@@ -185,9 +183,7 @@ def _scaled_lstsq(gains: np.ndarray, rows: np.ndarray, values: np.ndarray) -> np
     ``rows^H diag(|gains|^2) rows x = rows^H (conj(gains) * values)``
     (Golub and Van Loan, *Matrix Computations*, sec. 5.3). The design must be
     tall. The normal equations square the design's condition number, which
-    is acceptable at these sizes: over 200 random N = 32, K = M = 50 cells,
-    at the true and at a random angle, the Gram's condition number was at
-    most 4.1e8, which leaves about 8 digits; at K = 400 it stays below 10.
+    the well-conditioned designs of the paper's sizes can afford.
     """
     k, n = rows.shape
     if k < n:
@@ -484,10 +480,9 @@ def _aitken_angle(psi0: float, psi1: float, psi2: float, n_bs: int) -> float | N
     ``d1`` and ``d2`` are the two steps, each wrapped into [-0.5, 0.5). The
     limit is tried only when the steps contract in one direction,
     ``0 < d2 / d1 < 1``, and its step is finite and at most one grid spacing
-    of the angle search, ``1 / (8 n_bs)``. Near the pilot floor, where the
-    misfit has minima closer than that, a jump can still land in a worse
-    one: over 300 cells at K = 51, 52 and 55 (N = 32, M = 50, 10 dB), 26
-    ended above plain AM's misfit without these guards and 4 with them.
+    of the angle search, ``1 / (8 n_bs)``. The guards keep most jumps out of
+    a worse minimum, but near the pilot floor, where minima lie closer than
+    that, a jump can still land in one.
     """
     d1 = (psi1 - psi0 + 0.5) % 1.0 - 0.5
     d2 = (psi2 - psi1 + 0.5) % 1.0 - 0.5

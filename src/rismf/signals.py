@@ -268,10 +268,9 @@ def downlink_observe(
 # adjoint: the only general-channel downlink products, shared by synthesis,
 # the spectral start and the full-LS refinement, O(k m_ris n_bs) each. They
 # run on scipy's BLAS, as the full-LS factor does: numpy bundles a second
-# OpenBLAS, whose threads spin for 50-200 ms after a threaded product and
-# halve the speed of the next scipy BLAS call on 2 cores (``cherk`` at N = 32,
-# M = 50, K = 1700: 80-95 ms instead of 43 ms). ``zgemm`` reads Fortran
-# order, so its operands are transposed views and nothing is copied.
+# OpenBLAS, whose threads keep spinning after a threaded product and slow the
+# next scipy BLAS call. ``zgemm`` reads Fortran order, so its operands are
+# transposed views and nothing is copied.
 
 
 def _downlink_forward(sched: PilotSchedule, h_e: np.ndarray) -> np.ndarray:

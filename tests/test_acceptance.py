@@ -1,12 +1,9 @@
 """End-to-end acceptance gate.
 
 One test per registered criterion, so ``pytest -v`` prints one line per
-criterion; each test also echoes the PASS/FAIL detail line that the CLI
-``verify`` subcommand would print. On an idle 2-core Xeon VM (BLAS thread
-variables unset) the whole test suite took 67 s of wall time, of which
-se-ordering took 11 s, estimator-ordering 31 s and pilot-scaling 4 s. Run
-back to back before AM's Aitken sweeps, it took 108 s, with se-ordering at
-42 s. The VM's speed drifts by 20 % or more between runs.
+criterion. Each test echoes the line that the CLI ``verify`` subcommand
+prints for it and follows its status: PASS passes, XFAIL is an expected
+failure, and FAIL or XPASS fails the test.
 """
 
 import itertools
@@ -14,38 +11,34 @@ import itertools
 import pytest
 
 from rismf import acceptance
-from rismf.acceptance import CRITERIA, run_criterion
-
-# At K = M the noiseless objective has an exact fit at every candidate
-# angle (the per-angle design matrix is square and generically invertible),
-# so the angle is unidentifiable and no solver can reach NMSE 1e-8 from
-# data alone. The check still runs and its FAIL line is printed; it is
-# reported as an expected failure, and flips the suite red if it ever
-# starts passing, because then the analysis above no longer holds.
-UNATTAINABLE = {
-    "noiseless-mf-exactness": "angle unidentifiable from K = M noiseless samples",
-}
+from rismf.acceptance import CRITERIA, Criterion
 
 
-@pytest.mark.parametrize("name", [name for name, _ in CRITERIA])
-def test_criterion(name):
-    result = run_criterion(name)
-    status = "PASS" if result.passed else "FAIL"
-    print(f"{status} {result.name} ({result.elapsed_s:.1f}s): {result.detail}")
-    if name in UNATTAINABLE:
-        if result.passed:
-            pytest.fail(
-                f"{name} passed but is recorded as unattainable "
-                f"({UNATTAINABLE[name]}); revisit the analysis"
-            )
-        pytest.xfail(UNATTAINABLE[name])
-    assert result.passed, f"{result.name}: {result.detail}"
+@pytest.mark.parametrize("criterion", CRITERIA, ids=lambda criterion: criterion.name)
+def test_criterion(criterion):
+    result = criterion.run()
+    print(result.line)
+    if result.status == "XFAIL":
+        pytest.xfail(result.unattainable)
+    assert result.status == "PASS", result.line
+
+
+def test_expected_failures_are_registered_once():
+    # select_criteria keys the registry by name, so a duplicate name would
+    # shadow its namesake, declared reason and all
+    names = [criterion.name for criterion in CRITERIA]
+    assert len(set(names)) == len(names)
+    declared = [criterion for criterion in CRITERIA if criterion.unattainable is not None]
+    assert declared
+    for criterion in declared:
+        assert criterion.unattainable.strip()
+        assert acceptance.select_criteria([criterion.name]) == [criterion]
 
 
 def test_verdict_ignores_wall_time(monkeypatch):
     # a criterion that passes stays PASS however long the machine took
     clock = itertools.count(0.0, 1e6)
-    monkeypatch.setattr(acceptance, "CRITERIA", [("instant", lambda: (True, "ok"))])
     monkeypatch.setattr(acceptance.time, "perf_counter", lambda: next(clock))
-    result = acceptance.run_criterion("instant")
-    assert result.passed and result.detail == "ok" and result.elapsed_s == 1e6
+    result = Criterion("instant", lambda: (True, "ok")).run()
+    assert result.status == "PASS" and result.detail == "ok" and result.elapsed_s == 1e6
+    assert result.line == "PASS instant (1000000.0s): ok"

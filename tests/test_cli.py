@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from rismf import read_records, trial_seed
+from rismf import acceptance, read_records, trial_seed
+from rismf.acceptance import Criterion
 from rismf.cli import main
 
 
@@ -201,6 +202,24 @@ class TestVerifyCommand:
         stdout = capsys.readouterr().out
         assert "PASS gradient-correctness" in stdout
         assert "all 1 criteria passed" in stdout
+
+    def test_expected_failure_exits_0(self, capsys):
+        assert main(["verify", "noiseless-mf-exactness"]) == 0
+        stdout = capsys.readouterr().out
+        assert "XFAIL noiseless-mf-exactness" in stdout
+        assert stdout.splitlines()[-1] == "1 criteria: 1 XFAIL"
+
+    @pytest.mark.parametrize("unattainable, status", [("never", "XPASS"), (None, "FAIL")])
+    def test_xpass_or_fail_exits_3(self, monkeypatch, capsys, unattainable, status):
+        passes = unattainable is not None
+        monkeypatch.setattr(acceptance, "CRITERIA", (
+            Criterion("fine", lambda: (True, "ok")),
+            Criterion("odd", lambda: (passes, "odd"), unattainable=unattainable),
+        ))
+        assert main(["verify"]) == 3
+        stdout = capsys.readouterr().out.splitlines()
+        assert stdout[1].startswith(f"{status} odd (")
+        assert stdout[-1] == f"2 criteria: 1 PASS, 1 {status}"
 
     def test_unknown_criterion(self, capsys):
         assert main(["verify", "telepathy"]) == 1
