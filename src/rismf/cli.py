@@ -159,7 +159,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--seed", type=int, help="master seed override")
         p.add_argument("--trials", type=int, help="trials-per-cell override")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker threads (affects speed only, never results)")
+                       help="accepted; cells run in order")
 
     add_common(sub.add_parser("single-user", help="downlink estimation sweep"))
     add_common(sub.add_parser("multi-user", help="uplink multi-user sweep"))

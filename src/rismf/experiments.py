@@ -14,7 +14,6 @@ import json
 import math
 import numbers
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -363,29 +362,22 @@ def _multi_user_cell(dims, k, entry, noise_var, rng):
 
 
 def run_sweep(spec: ExperimentSpec, n_threads: int = 1) -> list[ResultRecord]:
-    """Run every (estimator, snr, k, trial) cell of the sweep.
+    """Run every (estimator, snr, k, trial) cell of the sweep, in order.
 
-    Cells are independent (each derives its own rng from the mixed trial
-    seed), so ``n_threads`` only affects wall time; the returned order is
-    always estimator-major, then SNR, then k, then trial. ``n_threads``
-    must be a positive integer.
+    The cells run one after another on the calling thread, estimator-major,
+    then SNR, then k, then trial, which is also the returned order. Each
+    cell derives its own rng from the mixed trial seed. ``n_threads`` must
+    be a positive integer; it is accepted and validated but selects nothing.
     """
     if not _is_count(n_threads):
         raise ValueError(f"n_threads must be a positive integer, got {n_threads!r}")
-    jobs = [
-        (spec, estimator, snr_db, k, trial, snr_index, k_index)
+    records = [
+        _sweep_cell(spec, estimator, snr_db, k, trial, snr_index, k_index)
         for estimator in spec.estimators
         for snr_index, snr_db in enumerate(spec.snr_grid_db)
         for k_index, k in enumerate(spec.k_grid)
         for trial in range(spec.n_trials)
     ]
-
-    if n_threads == 1:
-        records = [_sweep_cell(*args) for args in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            futures = [pool.submit(_sweep_cell, *args) for args in jobs]
-            records = [f.result() for f in futures]
     for record in records:
         record.validate()
     return records

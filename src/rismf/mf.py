@@ -149,9 +149,10 @@ def _solve(start, sweep, obs: ObservationSet, sched: PilotSchedule, max_iters: i
     The rule: the last sweep lowered the misfit by at most a
     ``_TOL_OBJECTIVE`` fraction, or the misfit is at the rounding floor of
     the data energy, where exact fits stop (they contract geometrically).
-    Solves in a process run one at a time on one numpy BLAS thread, and the
-    caller's count is restored after: products on (k, m_ris) operands gain
-    nothing from threads, which only add spread and core-dependent rounding.
+    Solves that callers start from their own threads run one at a time per
+    process, each on one numpy BLAS thread, and the caller's count is
+    restored after: products on (k, m_ris) operands gain nothing from BLAS
+    threads, which only add spread and core-dependent rounding.
     """
     if not np.any(obs.values):
         raise ValueError("observations are identically zero; nothing to estimate")

@@ -7,8 +7,8 @@ Each link has one phase design: the downlink trains with random RIS phases
 downlink schedule as ``PilotSchedule(pilots, dft_phase_schedule(m, k))``.
 
 The uplink schedule draws nothing, so :func:`make_uplink_schedule` hands
-every caller and sweep thread one cached, read-only :class:`UplinkSchedule`
-per set of dimensions; its :attr:`~UplinkSchedule.phase_gram_factor` serves
+every caller one cached, read-only :class:`UplinkSchedule` per set of
+dimensions; its :attr:`~UplinkSchedule.phase_gram_factor` serves
 every stage-2 solve and MSE prediction on it.
 
 Both observe functions add noise of variance ``noise_var`` through one
@@ -231,8 +231,8 @@ def make_uplink_schedule(dims: SystemDims) -> UplinkSchedule:
     """The MSE-optimal DFT RIS phases and one orthogonal pilot block; draws nothing.
 
     The schedule depends on ``(m_ris, k_pilots, q_users, t_symbols)`` only.
-    One instance per combination is cached and shared by every caller and
-    thread, so it is read-only: writing to its arrays raises ``ValueError``;
+    One instance per combination is cached and shared by every caller, so
+    it is read-only: writing to its arrays raises ``ValueError``;
     copy them to build a modified schedule.
     """
     return _dft_uplink_schedule(dims.m_ris, dims.k_pilots, dims.q_users, dims.t_symbols)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -299,6 +300,26 @@ class TestRunSweep:
         second = run_sweep(spec)
         threaded = run_sweep(spec, n_threads=3)
         assert first == second == threaded
+
+    @pytest.mark.parametrize("scenario", ["single_user_downlink", "multi_user_uplink"])
+    @pytest.mark.parametrize("n_threads", [2, 4])
+    def test_cells_run_on_the_calling_thread(self, monkeypatch, scenario, n_threads):
+        if scenario == "multi_user_uplink":
+            spec = tiny_spec(scenario=scenario, estimators=(), k_grid=[6, 12],
+                             dims=SystemDims(n_bs=4, m_ris=6, q_users=2, t_symbols=2))
+        else:
+            spec = tiny_spec()
+        serial = run_sweep(spec)
+        idents = []
+        for name in ("_single_user_cell", "_multi_user_cell"):
+            def recorded(*args, _body=getattr(experiments, name)):
+                idents.append(threading.get_ident())
+                return _body(*args)
+            monkeypatch.setattr(experiments, name, recorded)
+
+        assert run_sweep(spec, n_threads=n_threads) == serial
+        assert len(idents) == sum(r.nmse is not None for r in serial) > 0
+        assert set(idents) == {threading.get_ident()}
 
     @pytest.mark.parametrize("n_threads", [0, -3, True, 1.5, "2"])
     def test_bad_thread_count_rejected(self, n_threads):
