@@ -324,7 +324,7 @@ def _criterion_kron_equivalence():
 
 
 def _criterion_determinism():
-    """Sweep output is byte-identical across reruns and thread counts."""
+    """Sweep output is byte-identical across reruns."""
     import tempfile
     from pathlib import Path
 
@@ -339,16 +339,13 @@ def _criterion_determinism():
     )
     outputs = []
     with tempfile.TemporaryDirectory() as tmp:
-        for run, threads in enumerate((1, 2, 4, 1)):
+        for run in range(2):
             path = Path(tmp) / f"run{run}.csv"
-            write_results(run_sweep(spec, n_threads=threads), path, "csv", spec=spec)
+            write_results(run_sweep(spec), path, "csv", spec=spec)
             outputs.append(path.read_bytes())
-    passed = all(blob == outputs[0] for blob in outputs)
+    passed = outputs[0] == outputs[1]
     infeasible = outputs[0].count(b"infeasible")
-    return passed, (
-        f"4 runs (threads 1/2/4/1) byte-identical: {passed}; "
-        f"{infeasible} infeasible LR rows marked"
-    )
+    return passed, f"2 runs byte-identical: {passed}; {infeasible} infeasible LR rows marked"
 
 
 @dataclass(frozen=True)

@@ -74,10 +74,11 @@ def _normal_solve(values: np.ndarray, sched: PilotSchedule, dtype) -> np.ndarray
     into a correction.
 
     A complex128 factor returns its first solve. A complex64 factor is
-    refined until a correction is at most 1e-14 of the solution's norm, or
-    until it fails to halve the previous one but is already at most 1e-12:
-    corrections level off near cond(Gram) * eps64, which can sit above
-    1e-14. A stall above 1e-12 or 10 steps without stopping returns None.
+    refined until a correction is at most ``_REFINE_TOL`` of the solution's
+    norm, or until it fails to halve the previous one but is already at most
+    ``_REFINE_FLAT_TOL``: corrections level off near cond(Gram) * eps64,
+    which can sit above ``_REFINE_TOL``. A stall above ``_REFINE_FLAT_TOL``
+    or ``_REFINE_MAX_STEPS`` steps without stopping returns None.
     """
     prefix = "c" if dtype == np.complex64 else "z"
     pilots, phases = sched.pilots, sched.phases

@@ -10,6 +10,7 @@ passed).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from collections import Counter
@@ -77,11 +78,8 @@ def _load_spec(args, scenario: str) -> ExperimentSpec:
                 f"config scenario {raw['scenario']!r} does not match subcommand"
             )
         spec = ExperimentSpec.from_dict(raw)
-    if args.seed is not None:
-        spec.master_seed = args.seed
-    if args.trials is not None:
-        spec = ExperimentSpec.from_dict({**spec.to_dict(), "n_trials": args.trials})
-    return spec
+    overrides = {"master_seed": args.seed, "n_trials": args.trials}
+    return dataclasses.replace(spec, **{k: v for k, v in overrides.items() if v is not None})
 
 
 def _print_summary(records):

@@ -7,9 +7,9 @@ training data poses a structured rank-one recovery problem
     J(a_bar, psi) = sum_k | theta_k^T a_bar a_b(psi)^H x_k - r_k |^2.
 
 Two solvers are provided: safeguarded alternating minimization (exact LS in
-``a_bar`` alternated with a 1-D search in ``psi`` that is global unless two
-maxima lie closer than about 1.5 grid spacings; see the FOUND under cba75d8
-in CHANGES.md) and gradient descent on (Re a_bar, Im a_bar, psi) whose steps
+``a_bar`` alternated with the 1-D angle search of
+:func:`maximize_over_manifold`, whose docstring says when it can miss the
+global maximum) and gradient descent on (Re a_bar, Im a_bar, psi) whose steps
 are scaled by each block's Gauss-Newton curvature (:func:`gd_iterate`). Both
 start from a spectral initialization and sweep in :func:`_solve`, the one
 solve loop, which the free rank-one baseline shares: one stop rule, one
@@ -52,8 +52,8 @@ __all__ = [
 ]
 
 _DEFAULT_ITERS = {"am": 200, "gd": 2000}
-# The angle search's grid has this many points per BS antenna. Its spacing,
-# 1 / (8 n_bs), also caps an extrapolated AM angle step.
+# The angle search's grid has this many points per BS antenna. Its spacing
+# also caps an extrapolated AM angle step.
 _GRID_DENSITY = 8
 # Stop once a sweep lowers the misfit by at most this fraction of its value.
 _TOL_OBJECTIVE = 1e-10
@@ -227,12 +227,18 @@ def manifold_coefficients(gram: np.ndarray) -> np.ndarray:
     return coef
 
 
+def _wrap_angle(x: float) -> float:
+    """``x % 1.0`` in [0, 1): the 1.0 it rounds to just below 0 becomes 0.0."""
+    x = x % 1.0
+    return x if x < 1.0 else 0.0
+
+
 def maximize_over_manifold(coef: np.ndarray) -> float:
     """Global maximizer over [0, 1) of ``score(psi) = Re sum_d coef[d] exp(2j pi psi d)``.
 
     ``coef`` has one entry per lag d = 0 .. n_bs - 1 (see
     :func:`manifold_coefficients`). One FFT evaluates the score on a grid of
-    8 n_bs points with spacing ``s = 1/(8 n_bs)``. Grid peaks are then
+    ``_GRID_DENSITY * n_bs`` points with spacing ``s``. Grid peaks are then
     polished by Newton steps on the closed-form derivatives, each clipped to
     one grid spacing and kept only if it raises the score, and the best
     polished point wins (the root-MUSIC / Newtonized-OMP idea: Barabell,
@@ -285,14 +291,15 @@ def maximize_over_manifold(coef: np.ndarray) -> float:
         first = np.where(better, t_first, first)
         second = np.where(better, t_second, second)
         reach = np.where(better, reach, np.abs(step) / 2.0)
-    best = float(psi[np.argmax(value)] % 1.0)
-    return best if best < 1.0 else 0.0
+    return _wrap_angle(float(psi[np.argmax(value)]))
 
 
 def init_psi(s_matrix: np.ndarray) -> float:
-    """Spectral angle estimate ``argmax_psi || S a_b(psi) ||^2``."""
+    """Angle ``argmax_psi || S a_b(psi) ||^2`` of any (rows, n_bs) matrix ``S``:
+    the :func:`spectral_matrix`, or the uplink's stacked despread data
+    conjugate-transposed. A zero ``S`` raises ``ValueError``."""
     if not np.any(s_matrix):
-        raise ValueError("spectral matrix is identically zero; nothing to initialize from")
+        raise ValueError("matrix is identically zero; no angle to estimate")
     return maximize_over_manifold(manifold_coefficients(s_matrix.conj().T @ s_matrix))
 
 
@@ -335,16 +342,13 @@ def am_iterate(
     and column k of Y equal to ``(theta_k^T a_bar) x_k``. The score's
     coefficients come from the schedule's pilot autocorrelation
     (:func:`_angle_coefficients`), so the angle step costs O(k n_bs) per
-    sweep plus one 8 n_bs-point FFT. The search is global except when two
-    maxima lie closer than about 1.5 grid spacings, where the grid shows one
-    peak and the lower twin can win (FOUND under cba75d8 in CHANGES.md).
-    The candidate is accepted only if the directly evaluated objective does
-    not increase, which guards against rounding in the polynomial form. Then
-    the exact LS update of ``a_bar`` at the accepted angle, which in exact
-    arithmetic can only decrease the objective further. At the optimum the
-    LS solve can round the misfit up by an ulp or so (seen after an Aitken
-    jump of :func:`_am_sweep`); such a sweep returns its input unchanged, so
-    the sweep is monotone.
+    sweep plus the search's one FFT. The candidate is accepted only if the
+    directly evaluated objective does not increase, which guards against
+    rounding in the polynomial form. Then the exact LS update of ``a_bar``
+    at the accepted angle, which in exact arithmetic can only decrease the
+    objective further. At the optimum the LS solve can round the misfit up
+    by an ulp or so (seen after an Aitken jump of :func:`_am_sweep`); such a
+    sweep returns its input unchanged, so the sweep is monotone.
     """
     angle = maximize_over_manifold(_angle_coefficients(a_bar, obs, sched))
     if objective(a_bar, angle, obs, sched) > value:
@@ -430,7 +434,7 @@ def gd_iterate(
     step = 1.0
     for _ in range(_MAX_BACKTRACKS + 1):
         cand_a = a_bar - step * dir_a
-        cand_psi = (psi - step * dir_psi) % 1.0
+        cand_psi = _wrap_angle(psi - step * dir_psi)
         cand_val = objective(cand_a, cand_psi, obs, sched)
         if cand_val <= value:
             return cand_a, cand_psi, cand_val
@@ -481,9 +485,9 @@ def _aitken_angle(psi0: float, psi1: float, psi2: float, n_bs: int) -> float | N
     ``d1`` and ``d2`` are the two steps, each wrapped into [-0.5, 0.5). The
     limit is tried only when the steps contract in one direction,
     ``0 < d2 / d1 < 1``, and its step is finite and at most one grid spacing
-    of the angle search, ``1 / (8 n_bs)``. The guards keep most jumps out of
-    a worse minimum, but near the pilot floor, where minima lie closer than
-    that, a jump can still land in one.
+    of the angle search, ``1 / (_GRID_DENSITY * n_bs)``. The guards keep most
+    jumps out of a worse minimum, but near the pilot floor, where minima lie
+    closer than that, a jump can still land in one.
     """
     d1 = (psi1 - psi0 + 0.5) % 1.0 - 0.5
     d2 = (psi2 - psi1 + 0.5) % 1.0 - 0.5
@@ -492,8 +496,7 @@ def _aitken_angle(psi0: float, psi1: float, psi2: float, n_bs: int) -> float | N
     step = d2 * d2 / (d1 - d2)
     if not abs(step) <= 1.0 / (_GRID_DENSITY * n_bs):  # also false for inf and nan
         return None
-    jump = (psi2 + step) % 1.0
-    return jump if jump < 1.0 else 0.0
+    return _wrap_angle(psi2 + step)
 
 
 def estimate_single_user(

@@ -3,11 +3,11 @@
 After despreading, user q's data is ``S_q = a_b(psi) a_bar_q^H theta^T + N_q``
 for the (k, m) phase schedule theta, with a common BS-side angle and per-user
 RIS-side factors, so estimation splits into one 1-D search shared by all
-users followed by one linear solve for all Q users. Both that solve and
-:func:`predicted_mse` take the :class:`~rismf.signals.UplinkSchedule` and
-read the phase-Gram factor it caches. Any full-rank schedule works;
-:func:`~rismf.signals.make_uplink_schedule` builds the DFT schedule, which
-attains the floor of :func:`predicted_mse`.
+users, the downlink's spectral search :func:`~rismf.mf.init_psi`, and one
+linear solve for all Q users. That solve and :func:`predicted_mse` read the
+phase-Gram factor the :class:`~rismf.signals.UplinkSchedule` caches. Any
+full-rank schedule works; :func:`~rismf.signals.make_uplink_schedule` builds
+the DFT schedule, which attains the floor of :func:`predicted_mse`.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 import scipy.linalg
 
 from .channel import array_response
-from .mf import manifold_coefficients, maximize_over_manifold
+from .mf import init_psi
 from .signals import ObservationSet, UplinkSchedule, _check_noise_var, _require_uplink, despread
 
 __all__ = [
@@ -47,15 +47,15 @@ class MultiUserEstimate:
 
 
 def estimate_psi_uplink(s_list) -> float:
-    """Shared BS-side angle: ``argmax_psi || a_b(psi)^H [S_1 ... S_Q] ||^2``.
+    """Shared BS-side angle ``argmax_psi || a_b(psi)^H [S_1 ... S_Q] ||^2``:
+    :func:`~rismf.mf.init_psi` of the stacked data's conjugate transpose.
 
     ``s_list`` is a sequence of despread (n_bs, k) matrices. Noiselessly each
     has exact left factor ``a_b(psi)``, so the score peaks at the true angle.
     """
     stacked = np.hstack([np.asarray(s) for s in s_list])
-    if not np.any(stacked):
-        raise ValueError("despread data is identically zero; no angle to estimate")
-    return maximize_over_manifold(manifold_coefficients(stacked @ stacked.conj().T))
+    # conjugated in place, so the call allocates no second (n_bs, Q k) array
+    return init_psi(np.conjugate(stacked, out=stacked).T)
 
 
 def estimate_a_q(s_q: np.ndarray, sched: UplinkSchedule, psi_hat: float) -> np.ndarray:

@@ -412,6 +412,20 @@ class TestGdIterate:
         assert new_value < value
         assert np.any(a_bar)
 
+    def test_step_just_below_zero_wraps_into_range(self, monkeypatch):
+        # (0.0 - 1e-18) % 1.0 rounds to 1.0, outside [0, 1)
+        _, sched, _, obs = make_case(177)
+        a_bar = np.ones(32, dtype=complex)
+        monkeypatch.setattr(
+            mf, "_gd_terms", lambda *args: (np.zeros(32, dtype=complex), 1e-18, 1.0, 1.0)
+        )
+        _, psi, _ = gd_iterate(a_bar, 0.0, np.inf, obs, sched)
+        assert 0.0 <= psi < 1.0
+
+    @pytest.mark.parametrize("x, wrapped", [(-1e-20, 0.0), (-0.0, 0.0), (1.0, 0.0), (2.75, 0.75)])
+    def test_wrap_angle(self, x, wrapped):
+        assert mf._wrap_angle(x) == wrapped
+
     @pytest.mark.parametrize("snr_db", [-10.0, 0.0, 10.0, 20.0])
     def test_reaches_am_objective_at_paper_size(self, snr_db):
         dims = SystemDims(n_bs=32, m_ris=50, k_pilots=400)
