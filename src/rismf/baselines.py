@@ -12,6 +12,7 @@ from .signals import (
     _check_downlink_values,
     _downlink_adjoint,
     _downlink_forward,
+    _require_schedule,
 )
 
 __all__ = ["ls_full", "lr_rankone"]
@@ -40,6 +41,7 @@ def ls_full(obs: ObservationSet, sched: PilotSchedule) -> np.ndarray:
     factor is "rank deficient". The square budget skips complex64, where
     refinement mostly runs all its steps and still falls back.
     """
+    _require_schedule(sched, PilotSchedule, "ls_full")
     _check_downlink_values(sched, obs.values)
     k, n_bs = sched.pilots.shape
     m_ris = sched.phases.shape[1]

@@ -12,12 +12,14 @@ Conventions used throughout the package:
   the RIS-user path gain is absorbed into them, and the direct BS-user path is
   taken as zero.
 
-The module also holds the two numerical helpers every other module shares:
-the complex Gaussian sampler and the checked Cholesky factor of a small Gram.
+The module also holds the numerical helpers every other module shares: the
+complex Gaussian sampler, the one variance check and the checked Cholesky
+factor of a small Gram.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -75,7 +77,9 @@ def complex_normal(rng: np.random.Generator, shape=None, var: float = 1.0):
 
     All real parts are drawn before all imaginary parts; both are scaled
     straight into one complex array, bit for bit ``scale * (re + 1j * im)``.
+    A negative or non-finite ``var`` is a ``ValueError``, raised before any draw.
     """
+    _check_variance(var, "var")
     scale = np.sqrt(var / 2.0)
     re = rng.standard_normal(shape)
     im = rng.standard_normal(shape)
@@ -83,6 +87,12 @@ def complex_normal(rng: np.random.Generator, shape=None, var: float = 1.0):
     np.multiply(scale, re, out=out.real)
     np.multiply(scale, im, out=out.imag)
     return out if shape is not None else out[()]
+
+
+def _check_variance(value: float, name: str) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is finite and nonnegative."""
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ValueError(f"{name} must be finite and nonnegative, got {value}")
 
 
 def _cholesky(gram: np.ndarray) -> tuple[np.ndarray, bool]:

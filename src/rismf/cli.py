@@ -2,9 +2,10 @@
 
 Subcommands: ``single-user`` (downlink NMSE/SE sweep), ``multi-user``
 (uplink NMSE-vs-K sweep), ``overhead`` (minimal pilot counts), ``verify``
-(acceptance property suite). Exit codes: 0 success, 1 invalid spec or usage,
-2 I/O error, 3 a criterion that FAILs or XPASSes (an expected failure that
-passed).
+(acceptance property suite). A sweep's ``--config`` is a JSON experiment
+spec; ``overhead --config`` reads only its ``dims``, checked as a downlink
+sweep's. Exit codes: 0 success, 1 invalid spec or usage, 2 I/O error, 3 a
+criterion that FAILs or XPASSes (an expected failure that passed).
 """
 
 from __future__ import annotations
@@ -17,10 +18,10 @@ from collections import Counter
 
 import numpy as np
 
-from .channel import SystemDims
 from .experiments import (
     ExperimentSpec,
     _SNR_GRID_DB,
+    _sweep_dims,
     aggregate_nmse,
     overhead_table,
     run_sweep,
@@ -40,7 +41,7 @@ def _default_spec(scenario: str) -> ExperimentSpec:
     if scenario == "single_user_downlink":
         return ExperimentSpec(
             scenario=scenario,
-            dims=SystemDims(**_DEFAULT_DIMS),
+            dims=_DEFAULT_DIMS,
             snr_grid_db=list(_SNR_GRID_DB),
             k_grid=[400],
             estimators=("MF_AM", "LR"),
@@ -48,7 +49,7 @@ def _default_spec(scenario: str) -> ExperimentSpec:
         )
     return ExperimentSpec(
         scenario=scenario,
-        dims=SystemDims(q_users=5, t_symbols=5, **_DEFAULT_DIMS),
+        dims={**_DEFAULT_DIMS, "q_users": 5, "t_symbols": 5},
         snr_grid_db=[10.0],
         k_grid=[50, 100, 200, 400],
         n_trials=200,
@@ -106,15 +107,8 @@ def _cmd_sweep(args, scenario: str) -> int:
 
 
 def _cmd_overhead(args) -> int:
-    if args.config is not None:
-        raw = _read_config(args.config)
-        try:
-            dims = SystemDims(**raw.get("dims", raw))
-        except TypeError as err:
-            raise ValueError(f"invalid dims in {args.config}: {err}") from err
-    else:
-        dims = SystemDims(**_DEFAULT_DIMS)
-    table = overhead_table(dims)
+    dims = _DEFAULT_DIMS if args.config is None else _read_config(args.config).get("dims")
+    table = overhead_table(_sweep_dims("single_user_downlink", dims))
     if args.format == "json":
         body = json.dumps(table, indent=1) + "\n"
     else:

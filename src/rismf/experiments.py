@@ -163,6 +163,23 @@ def simulate_uplink(dims: SystemDims, noise_var: float, rng: np.random.Generator
     return cascades, sched, obs
 
 
+def _sweep_dims(scenario: str, dims) -> SystemDims:
+    """A ``scenario`` sweep's :class:`SystemDims`, from itself or a mapping of its fields."""
+    try:
+        dims = SystemDims(**dims) if isinstance(dims, dict) else dims
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"invalid dims {dims!r}: {err}") from err
+    if not isinstance(dims, SystemDims):
+        raise ValueError(f"dims must be a SystemDims or a mapping of its fields, got {dims!r}")
+    read = ("q_users", "t_symbols") if scenario == "multi_user_uplink" else ()
+    for name in ("k_pilots", "q_users", "t_symbols"):
+        if name not in read and (value := getattr(dims, name)) != 1:
+            why = "k_grid sets it" if name == "k_pilots" else "one user, no pilot block"
+            raise ValueError(f"{scenario} cells do not read dims.{name}, got {value!r} "
+                             f"({why}); leave it out")
+    return dims
+
+
 @dataclass
 class ExperimentSpec:
     """Declarative description of one Monte Carlo sweep.
@@ -171,6 +188,9 @@ class ExperimentSpec:
     resolves to every estimator of the scenario, in registry order: the
     downlink :data:`ESTIMATORS`, or the uplink two-stage method ``("MF",)``.
     Every SNR must map to a positive finite noise variance ``10^(-SNR/10)``.
+    ``dims`` may set only what the cells read, ``n_bs``, ``m_ris`` and in the
+    uplink ``q_users`` and ``t_symbols`` (``k_grid`` sets ``k_pilots``); any
+    other field away from 1 is a ``ValueError``, so a spec records the dims that ran.
     """
 
     scenario: str
@@ -184,15 +204,7 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario {self.scenario!r}")
-        if isinstance(self.dims, dict):
-            try:
-                self.dims = SystemDims(**self.dims)
-            except (TypeError, ValueError) as err:
-                raise ValueError(f"invalid dims {self.dims!r}: {err}") from err
-        if not isinstance(self.dims, SystemDims):
-            raise ValueError(
-                f"dims must be a SystemDims or a mapping of its fields, got {self.dims!r}"
-            )
+        self.dims = _sweep_dims(self.scenario, self.dims)
         seed = self.master_seed
         if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
             raise ValueError(f"master_seed must be an integer, got {seed!r}")
@@ -339,22 +351,22 @@ def _sweep_cell(spec, estimator, snr_db, k, trial, snr_index, k_index) -> Result
     scores = (None, None)
     if k >= entry.min_pilots(spec.dims.n_bs, spec.dims.m_ris):
         body = _single_user_cell if spec.scenario == "single_user_downlink" else _multi_user_cell
-        scores = body(spec.dims, k, entry, _noise_var(snr_db), np.random.default_rng(seed))
+        dims = dataclasses.replace(spec.dims, k_pilots=k)
+        scores = body(dims, entry, _noise_var(snr_db), np.random.default_rng(seed))
     return ResultRecord(spec.scenario, estimator, snr_db, k, trial, seed, *scores)
 
 
-def _single_user_cell(dims, k, entry, noise_var, rng):
-    """NMSE, SE and energies of one downlink cell with ``k`` pilots."""
-    dims = dataclasses.replace(dims, k_pilots=k, q_users=1, t_symbols=1)
+def _single_user_cell(dims, entry, noise_var, rng):
+    """NMSE, SE and energies of one downlink cell."""
     cascade, sched, obs = simulate_downlink(dims, noise_var, rng)
     h_hat = entry.estimate(obs, sched)
     return (nmse(cascade.h_e, h_hat), spectral_efficiency(cascade.h_e, h_hat, noise_var),
             *_energies([cascade.h_e], [h_hat]))
 
 
-def _multi_user_cell(dims, k, entry, noise_var, rng):
-    """Mean per-user NMSE, no SE, and energies of one uplink cell with ``k`` blocks."""
-    cascades, sched, obs = simulate_uplink(dataclasses.replace(dims, k_pilots=k), noise_var, rng)
+def _multi_user_cell(dims, entry, noise_var, rng):
+    """Mean per-user NMSE, no SE, and energies of one uplink cell."""
+    cascades, sched, obs = simulate_uplink(dims, noise_var, rng)
     truths = [cascade.h_e for cascade in cascades]
     h_hats = entry.estimate(obs, sched)
     per_user = [nmse(h, h_hat) for h, h_hat in zip(truths, h_hats)]

@@ -34,7 +34,7 @@ import numpy as np
 import scipy.linalg
 
 from .channel import _cholesky, _is_count, array_response
-from .signals import ObservationSet, PilotSchedule, _downlink_adjoint
+from .signals import ObservationSet, PilotSchedule, _downlink_adjoint, _require_schedule
 
 __all__ = [
     "MfConfig",
@@ -144,7 +144,8 @@ def _solve(start, sweep, obs: ObservationSet, sched: PilotSchedule, max_iters: i
     ``sweep(*state, value, obs, sched) -> (*state, value)``, ``value`` being
     the misfit, until the stop rule holds or ``max_iters`` sweeps have run.
     Returns ``(state, history, converged)``; ``converged`` says the rule held.
-    Identically zero observations raise ``ValueError``.
+    A schedule other than a :class:`~rismf.signals.PilotSchedule`, or
+    identically zero observations, raise ``ValueError``.
 
     The rule: the last sweep lowered the misfit by at most a
     ``_TOL_OBJECTIVE`` fraction, or the misfit is at the rounding floor of
@@ -154,6 +155,7 @@ def _solve(start, sweep, obs: ObservationSet, sched: PilotSchedule, max_iters: i
     restored after: products on (k, m_ris) operands gain nothing from BLAS
     threads, which only add spread and core-dependent rounding.
     """
+    _require_schedule(sched, PilotSchedule, "a downlink solve")
     if not np.any(obs.values):
         raise ValueError("observations are identically zero; nothing to estimate")
     energy = float(np.sum(np.abs(obs.values) ** 2))

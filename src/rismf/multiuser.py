@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .channel import array_response
+from .channel import _check_variance, array_response
 from .mf import init_psi
-from .signals import ObservationSet, UplinkSchedule, _check_noise_var, _require_uplink, despread
+from .signals import ObservationSet, UplinkSchedule, _require_schedule, despread
 
 __all__ = [
     "MultiUserEstimate",
@@ -74,7 +74,7 @@ def estimate_a_q(s_q: np.ndarray, sched: UplinkSchedule, psi_hat: float) -> np.n
     stack of them, shape (q, n_bs, k), giving shape (q, m). To solve against
     a bare phase array, wrap it: ``UplinkSchedule(phases, orthogonal_user_pilots(1, 1))``.
     """
-    _require_uplink(sched, "estimate_a_q")
+    _require_schedule(sched, UplinkSchedule, "estimate_a_q")
     k = sched.phases.shape[0]
     if s_q.ndim not in (2, 3) or s_q.shape[-1] != k:
         raise ValueError(
@@ -99,8 +99,8 @@ def predicted_mse(noise_var: float, sched: UplinkSchedule) -> float:
     ``trtri`` inverts in place of a solve against the identity. A negative
     or non-finite ``noise_var`` is a ``ValueError``, as in synthesis.
     """
-    _require_uplink(sched, "predicted_mse")
-    _check_noise_var(noise_var)
+    _require_schedule(sched, UplinkSchedule, "predicted_mse")
+    _check_variance(noise_var, "noise_var")
     triangle, lower = sched.phase_gram_factor
     # cho_factor leaves Gram entries in the factor's unused triangle
     inverse, _ = _TRTRI(np.tril(triangle) if lower else np.triu(triangle), lower=lower)

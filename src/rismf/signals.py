@@ -19,13 +19,19 @@ estimator reads the variance, so :class:`ObservationSet` holds values only.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import blas
 
-from .channel import CascadedChannel, SystemDims, _cholesky, _is_count, complex_normal
+from .channel import (
+    CascadedChannel,
+    SystemDims,
+    _check_variance,
+    _cholesky,
+    _is_count,
+    complex_normal,
+)
 
 __all__ = [
     "PilotSchedule",
@@ -162,15 +168,9 @@ class ObservationSet:
             raise ValueError("observations must be finite (NaN or inf in values)")
 
 
-def _check_noise_var(noise_var: float) -> None:
-    """Raise ``ValueError`` unless ``noise_var`` is finite and nonnegative."""
-    if not (math.isfinite(noise_var) and noise_var >= 0.0):
-        raise ValueError(f"noise_var must be finite and nonnegative, got {noise_var}")
-
-
 def _observation(clean: np.ndarray, noise_var: float, rng) -> ObservationSet:
     """C-contiguous ``clean`` plus i.i.d. ``complex_normal`` noise of variance ``noise_var``."""
-    _check_noise_var(noise_var)
+    _check_variance(noise_var, "noise_var")
     if noise_var == 0.0:
         return ObservationSet(values=np.ascontiguousarray(clean))
     if rng is None:
@@ -259,6 +259,7 @@ def downlink_observe(
     under the unit-norm pilot convention), finite and >= 0, checked before any
     draw; ``noise_var = 0`` gives the exact model output and needs no ``rng``.
     """
+    _require_schedule(sched, PilotSchedule, "downlink_observe")
     if chan.uplink:
         raise ValueError("downlink_observe needs a downlink cascade")
     return _observation(_downlink_forward(sched, chan.h_e), noise_var, rng)
@@ -301,9 +302,11 @@ def _downlink_adjoint(sched: PilotSchedule, values: np.ndarray) -> np.ndarray:
     return blas.zgemm(1.0, weighted.T, sched.phases.T, trans_b=2).T
 
 
-def _require_uplink(sched, caller: str) -> None:
-    if not isinstance(sched, UplinkSchedule):
-        raise ValueError(f"{caller} needs an UplinkSchedule, got {type(sched).__name__}")
+def _require_schedule(sched, kind: type, caller: str) -> None:
+    """Raise ``ValueError`` naming ``kind`` unless ``sched`` is one."""
+    if not isinstance(sched, kind):
+        article = "an" if kind.__name__[0] in "AEIOU" else "a"
+        raise ValueError(f"{caller} needs {article} {kind.__name__}, got {type(sched).__name__}")
 
 
 def uplink_observe(
@@ -321,7 +324,7 @@ def uplink_observe(
     ``R_k`` is ``g (theta_k * w_t)`` with ``w_t = sum_q x_q[t] h_q``, so
     every block comes out of one (k t, m_ris) by (m_ris, n_bs) product.
     """
-    _require_uplink(sched, "uplink_observe")
+    _require_schedule(sched, UplinkSchedule, "uplink_observe")
     k, m_ris = sched.phases.shape
     if np.ndim(g_uplink) != 2 or g_uplink.shape[1] != m_ris or (
         np.shape(h_users) != (sched.q_users, m_ris)
@@ -346,7 +349,7 @@ def despread(obs: ObservationSet, sched: UplinkSchedule) -> np.ndarray:
     variance ``noise_var / T`` per entry. One (k n_bs, T) by (T, q_users)
     product computes every entry; the result is a transposed view of it.
     """
-    _require_uplink(sched, "despread")
+    _require_schedule(sched, UplinkSchedule, "despread")
     (k, _), (q_users, t_symbols) = sched.phases.shape, sched.user_pilots.shape
     values = obs.values
     if values.ndim != 3 or values.shape[0] != k or values.shape[2] != t_symbols:

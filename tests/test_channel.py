@@ -54,6 +54,14 @@ class TestComplexNormal:
         re, im = np.random.default_rng(8).standard_normal(2)
         assert drawn == np.sqrt(0.5) * (re + 1j * im)
 
+    @pytest.mark.parametrize("var", [-1.0, np.nan, np.inf])
+    def test_bad_variance_rejected_before_any_draw(self, var):
+        rng = np.random.default_rng(9)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="^var must be finite and nonnegative"):
+            complex_normal(rng, 2, var=var)
+        assert rng.bit_generator.state == state
+
 
 class TestSystemDims:
     def test_defaults(self):

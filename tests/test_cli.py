@@ -154,6 +154,21 @@ class TestSweepCommands:
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, field, dims", [
+        ("single-user", "k_pilots", dict(n_bs=4, m_ris=6, k_pilots=999)),
+        ("single-user", "q_users", dict(n_bs=4, m_ris=6, q_users=3)),
+        ("single-user", "t_symbols", dict(n_bs=4, m_ris=6, t_symbols=2)),
+        ("multi-user", "k_pilots", dict(n_bs=4, m_ris=6, k_pilots=12, q_users=2, t_symbols=2)),
+    ])
+    def test_dims_that_select_nothing_exit_1(self, tmp_path, capsys, command, field, dims):
+        scenario = "single_user_downlink" if command == "single-user" else "multi_user_uplink"
+        config = write_config(tmp_path / "spec.json", scenario=scenario, dims=dims, estimators=[])
+        out = tmp_path / "results.csv"
+        assert main([command, "--config", config, "--out", str(out)]) == 1
+        assert f"dims.{field}" in capsys.readouterr().err
+        # neither the CSV nor its .meta.json sidecar is written
+        assert list(tmp_path.iterdir()) == [tmp_path / "spec.json"]
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["single-user", "--config", str(tmp_path / "absent.json")]) == 2
         assert "i/o error:" in capsys.readouterr().err
@@ -175,8 +190,9 @@ class TestOverheadCommand:
     @pytest.mark.parametrize(
         "body",
         [{"dims": {"n_bs": 2, "m_ris": 3, "antennas": 4}}, [2, 3], {"dims": [2, 3]},
-         {"dims": {"n_bs": True, "m_ris": 6}}],
-        ids=["unknown-key", "list", "dims-list", "bool-count"],
+         {"dims": {"n_bs": True, "m_ris": 6}}, {"n_bs": 2, "m_ris": 3},
+         {"dims": {"n_bs": 2, "m_ris": 3, "q_users": 4}}],
+        ids=["unknown-key", "list", "dims-list", "bool-count", "bare-dims", "unread-field"],
     )
     def test_bad_config_is_an_invalid_spec(self, tmp_path, capsys, body):
         config = tmp_path / "dims.json"

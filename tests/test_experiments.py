@@ -273,6 +273,23 @@ class TestExperimentSpec:
         with pytest.raises(ValueError, match=field):
             tiny_spec(**{field: value})
 
+    @pytest.mark.parametrize("scenario, field, value", [
+        ("single_user_downlink", "k_pilots", 999),
+        ("single_user_downlink", "q_users", 3),
+        ("single_user_downlink", "t_symbols", 2),
+        ("multi_user_uplink", "k_pilots", 12),
+    ])
+    @pytest.mark.parametrize("as_mapping", [False, True])
+    def test_rejects_dims_the_cells_do_not_read(self, scenario, field, value, as_mapping):
+        # k_grid sets the pilot count and a downlink cell has one user, so
+        # these fields would select nothing and their record would be false
+        dims = dict(n_bs=4, m_ris=6, **{field: value})
+        if scenario == "multi_user_uplink":
+            dims.update(q_users=2, t_symbols=2)
+        with pytest.raises(ValueError, match=f"dims.{field}, got {value}"):
+            tiny_spec(scenario=scenario, estimators=(),
+                      dims=dims if as_mapping else SystemDims(**dims))
+
     def test_integer_seed_types_agree(self):
         # a numpy integer seed is stored as the same Python int
         spec = tiny_spec(master_seed=np.int64(99))
@@ -400,6 +417,20 @@ class TestPersistence:
         out = tmp_path / "sweep.csv"
         write_results(records, out, spec=spec)
         assert read_records(out) == records
+
+    @pytest.mark.parametrize("scenario", ["single_user_downlink", "multi_user_uplink"])
+    def test_rerun_from_the_sidecar_spec_is_byte_identical(self, tmp_path, scenario):
+        spec = tiny_spec()
+        if scenario == "multi_user_uplink":
+            spec = tiny_spec(scenario=scenario, estimators=(), k_grid=[6, 12],
+                             dims=SystemDims(n_bs=4, m_ris=6, q_users=2, t_symbols=2))
+        first, rerun = tmp_path / "first.csv", tmp_path / "rerun.csv"
+        write_results(run_sweep(spec), first, spec=spec)
+        meta = json.loads((tmp_path / "first.csv.meta.json").read_text())
+        recorded = ExperimentSpec.from_dict(meta["spec"])
+        assert recorded == spec
+        write_results(run_sweep(recorded), rerun, spec=recorded)
+        assert rerun.read_bytes() == first.read_bytes()
 
     def test_json_round_trip(self, tmp_path):
         records = run_sweep(tiny_spec())

@@ -13,6 +13,9 @@ from rismf import (
     despread,
     dft_phase_schedule,
     downlink_observe,
+    estimate_single_user,
+    lr_rankone,
+    ls_full,
     make_pilot_schedule,
     make_uplink_schedule,
     orthogonal_user_pilots,
@@ -307,6 +310,20 @@ def test_bad_noise_variance_rejected_before_any_draw(observe, noise_var):
     with pytest.raises(ValueError, match="noise_var"):
         observe(noise_var, rng)
     assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("entry", [
+    estimate_single_user,
+    lr_rankone,
+    ls_full,
+    lambda obs, sched: downlink_observe(
+        cascaded_downlink(np.ones(6), np.ones((6, 4))), sched, 0.1, np.random.default_rng(3)),
+], ids=["estimate_single_user", "lr_rankone", "ls_full", "downlink_observe"])
+def test_downlink_entry_points_reject_an_uplink_schedule(entry):
+    dims = SystemDims(n_bs=4, m_ris=6, k_pilots=30, q_users=2, t_symbols=2)
+    obs = ObservationSet(np.ones(30, dtype=complex))
+    with pytest.raises(ValueError, match="needs a PilotSchedule, got UplinkSchedule"):
+        entry(obs, make_uplink_schedule(dims))
 
 
 class TestDownlinkOperator:
