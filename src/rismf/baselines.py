@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import blas, lapack
+from scipy.linalg import lapack
 
 from .mf import EstimateResult, _misfit, _scaled_lstsq, _solve, spectral_matrix
 from .signals import (
@@ -27,19 +27,26 @@ _REFINE_TOL = 1e-14
 _REFINE_FLAT_TOL = 1e-12
 _REFINE_MAX_STEPS = 10
 
+# Slots per block of design rows that ls_full adds to its Gram at a time: a
+# block holds 256 m n entries, a third of the packed Gram at m n = 1600.
+_GRAM_BLOCK = 256
+
 
 def ls_full(obs: ObservationSet, sched: PilotSchedule) -> np.ndarray:
     """Unstructured LS over the vectorized channel, shape (m_ris, n_bs).
 
     Solves ``r_k = (x_k^T kron theta_k^T) vec(h_e)`` over all slots; needs
     k >= m_ris * n_bs. Both budgets go through the normal equations in
-    :func:`_normal_solve`. Above the square budget it first runs in mixed
-    precision: a complex64 Cholesky factor, refined in float64 (Langou et
-    al., SC 2006; Carson and Higham, SIAM J. Sci. Comput. 40(2), 2018). If
-    that does not converge, and always at the square budget
-    k = m_ris * n_bs, it runs with a complex128 factor; a failed complex128
-    factor is "rank deficient". The square budget skips complex64, where
-    refinement mostly runs all its steps and still falls back.
+    :func:`_normal_solve`, which adds the design to one packed triangle of
+    the Gram block by block and never holds the (k, m n) design, so a call
+    holds about (m n)^2 / 2 Gram entries at any k. Above the square budget
+    it first runs in mixed precision: a complex64 Cholesky factor, refined
+    in float64 (Langou et al., SC 2006; Carson and Higham, SIAM J. Sci.
+    Comput. 40(2), 2018). If that does not converge, and always at the
+    square budget k = m_ris * n_bs, it runs with a complex128 factor; a
+    failed complex128 factor is "rank deficient". The square budget skips
+    complex64, where refinement mostly runs all its steps and still falls
+    back.
     """
     _require_schedule(sched, PilotSchedule, "ls_full")
     _check_downlink_values(sched, obs.values)
@@ -59,20 +66,21 @@ def ls_full(obs: ObservationSet, sched: PilotSchedule) -> np.ndarray:
 def _normal_solve(values: np.ndarray, sched: PilotSchedule, dtype) -> np.ndarray | None:
     """``h_e^T`` from a Cholesky factor of the normal equations in ``dtype``.
 
-    ``dtype`` is complex64 or complex128, and the BLAS and LAPACK routines
-    are looked up by their ``c`` or ``z`` prefix. ``h_e^T`` (n_bs, m_ris)
-    in C order is the column-stacked ``vec(h_e)``. The (k, m n) design is
-    built in ``dtype``; ``?herk`` forms one triangle of its conjugate Gram
-    from the design's Fortran-ordered transpose, so the design is never
-    copied, and it is released before ``?potrf`` factors the Gram. A
-    failed factor returns None. Unlike the small solves of
+    ``dtype`` is complex64 or complex128, and the LAPACK routines are looked
+    up by their ``c`` or ``z`` prefix. ``h_e^T`` (n_bs, m_ris) in C order is
+    the column-stacked ``vec(h_e)``. The (k, m n) design is never held:
+    ``?hfrk`` adds the lower triangle of each block's conjugate Gram, over
+    ``_GRAM_BLOCK`` slots whose rows are built in ``dtype``, into one
+    (m n)(m n + 1)/2 array in rectangular full packed (RFP) storage
+    (Gustavson et al., ACM TOMS 37(2), 2010). ``?pftrf`` factors it in
+    place; a failed factor returns None. Unlike the small solves of
     :func:`~rismf.channel._cholesky`, the factor gets no ``pocon`` check:
-    its 1-norm needs the full Gram, a second (m n)^2 temporary.
+    its 1-norm needs the full Gram.
 
     The solution is built in float64 from normal-equation residuals
     ``D^H (r - D vec)``, taken straight from the schedule by the downlink
     operator :func:`~rismf.signals._downlink_forward` and its adjoint,
-    O(k m n) each, with no float64 design; one ``?potrs`` turns a residual
+    O(k m n) each, with no float64 design; one ``?pftrs`` turns a residual
     into a correction.
 
     A complex128 factor returns its first solve. A complex64 factor is
@@ -85,12 +93,18 @@ def _normal_solve(values: np.ndarray, sched: PilotSchedule, dtype) -> np.ndarray
     prefix = "c" if dtype == np.complex64 else "z"
     pilots, phases = sched.pilots, sched.phases
     k, n_bs = pilots.shape
-    # row k = x_k kron theta_k, matching column-stacked vec(h_e)
-    design = (pilots.astype(dtype)[:, :, None] * phases.astype(dtype)[:, None, :]).reshape(k, -1)
-    # lower triangle of design^T conj(design) = conj(design^H design)
-    conj_gram = getattr(blas, f"{prefix}herk")(1.0, design.T, lower=1)
-    del design
-    factor, info = getattr(lapack, f"{prefix}potrf")(conj_gram, lower=1, overwrite_a=1, clean=0)
+    unknowns = n_bs * phases.shape[1]
+    hfrk = getattr(lapack, f"{prefix}hfrk")
+    # lower triangle of design^T conj(design) = conj(design^H design), in RFP
+    conj_gram = np.zeros(unknowns * (unknowns + 1) // 2, dtype=dtype)
+    for start in range(0, k, _GRAM_BLOCK):
+        rows = slice(start, start + _GRAM_BLOCK)
+        x, theta = pilots[rows].astype(dtype), phases[rows].astype(dtype)
+        # rows x_k kron theta_k of the design, matching column-stacked vec(h_e)
+        block = (x[:, :, None] * theta[:, None, :]).reshape(len(x), unknowns)
+        conj_gram = hfrk(unknowns, len(x), 1.0, block.T, 1.0, conj_gram, uplo="L", overwrite_c=1)
+        del block  # freed before the next block is built
+    factor, info = getattr(lapack, f"{prefix}pftrf")(unknowns, conj_gram, uplo="L", overwrite_a=1)
     if info != 0:
         return None
     h_t = np.zeros((n_bs, phases.shape[1]), dtype=complex)
@@ -102,8 +116,8 @@ def _normal_solve(values: np.ndarray, sched: PilotSchedule, dtype) -> np.ndarray
         if scale == 0.0:  # resid is orthogonal to the design: h_t solves it (zero data)
             return h_t
         # scaled so that complex64 neither underflows nor overflows
-        conj_step = getattr(lapack, f"{prefix}potrs")(
-            factor, (conj_rhs / scale).astype(dtype).ravel(), lower=1
+        conj_step = getattr(lapack, f"{prefix}pftrs")(
+            unknowns, factor, (conj_rhs / scale).astype(dtype).reshape(-1, 1), uplo="L"
         )[0]
         step = scale * conj_step.conj().astype(complex).reshape(h_t.shape)
         h_t += step

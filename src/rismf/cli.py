@@ -107,7 +107,13 @@ def _cmd_sweep(args, scenario: str) -> int:
 
 
 def _cmd_overhead(args) -> int:
-    dims = _DEFAULT_DIMS if args.config is None else _read_config(args.config).get("dims")
+    if args.config is None:
+        dims = _DEFAULT_DIMS
+    else:
+        raw = _read_config(args.config)
+        if "dims" not in raw:
+            raise ValueError(f"config {args.config} has no 'dims' key")
+        dims = raw["dims"]
     table = overhead_table(_sweep_dims("single_user_downlink", dims))
     if args.format == "json":
         body = json.dumps(table, indent=1) + "\n"

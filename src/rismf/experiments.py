@@ -13,10 +13,12 @@ import hashlib
 import json
 import math
 import numbers
+import os
 from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .baselines import lr_rankone, ls_full
@@ -403,13 +405,18 @@ def _format_value(value) -> str:
     return str(value)
 
 
+# The environment variables that set the BLAS thread count, as a sidecar records them.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def write_results(records, path, format: str = "csv", spec: ExperimentSpec | None = None):
     """Persist records as CSV or JSON plus a ``.meta.json`` sidecar.
 
     The CSV header is fixed; infeasible cells carry the literal token
     ``infeasible`` in the nmse column (null in JSON). A missing rate metric
     is an empty cell (null in JSON). Floats are written with full
-    round-trip precision.
+    round-trip precision. The sidecar holds the package, numpy and scipy
+    versions, the BLAS thread variables as found, and the spec if given.
     """
     path = str(path)
     for record in records:
@@ -436,7 +443,13 @@ def write_results(records, path, format: str = "csv", spec: ExperimentSpec | Non
     else:
         raise ValueError(f"unknown format {format!r}")
 
-    meta = {"version": __version__}
+    meta = {
+        "version": __version__,
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        # LS rows move with the BLAS thread count; null where a variable is unset
+        "blas_threads": {name: os.environ.get(name) for name in _BLAS_THREAD_VARS},
+    }
     if spec is not None:
         meta["spec"] = spec.to_dict()
     with open(path + ".meta.json", "w", encoding="ascii") as fh:

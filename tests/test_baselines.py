@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -88,28 +91,28 @@ def spy_on_double_solve(monkeypatch):
     return calls
 
 
-def spy_on_cpotrs(monkeypatch):
+def spy_on_cpftrs(monkeypatch):
     """Count the complex64 refinement steps."""
     steps = []
-    cpotrs = scipy.linalg.lapack.cpotrs
+    cpftrs = scipy.linalg.lapack.cpftrs
     monkeypatch.setattr(
-        scipy.linalg.lapack, "cpotrs", lambda *a, **kw: steps.append(1) or cpotrs(*a, **kw)
+        scipy.linalg.lapack, "cpftrs", lambda *a, **kw: steps.append(1) or cpftrs(*a, **kw)
     )
     return steps
 
 
-def spy_on_herk(monkeypatch):
-    """Record each Gram formed by ``cherk`` or ``zherk``."""
-    grams = []
-    for name in ("cherk", "zherk"):
-        herk = getattr(scipy.linalg.blas, name)
+def spy_on_hfrk(monkeypatch):
+    """Record each block of design rows that ``chfrk`` or ``zhfrk`` adds to a Gram."""
+    blocks = []
+    for name in ("chfrk", "zhfrk"):
+        hfrk = getattr(scipy.linalg.lapack, name)
 
-        def counted(*args, herk=herk, name=name, **kwargs):
-            grams.append(name)
-            return herk(*args, **kwargs)
+        def counted(*args, hfrk=hfrk, name=name, **kwargs):
+            blocks.append(name)
+            return hfrk(*args, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg.blas, name, counted)
-    return grams
+        monkeypatch.setattr(scipy.linalg.lapack, name, counted)
+    return blocks
 
 
 def near_dependent_pilots(spread):
@@ -166,12 +169,12 @@ class TestLsFullMixedPrecision:
 
     def test_stalled_refinement_returns_the_complex128_solution(self, monkeypatch):
         # two nearly equal pilot columns: cond(Gram) is about 4e7, beyond
-        # single precision, yet cpotrf succeeds and refinement diverges
+        # single precision, yet cpftrf succeeds and refinement diverges
         sched, obs = near_dependent_pilots(3e-4)
-        steps = spy_on_cpotrs(monkeypatch)
+        steps = spy_on_cpftrs(monkeypatch)
         calls = spy_on_double_solve(monkeypatch)
         h_hat = ls_full(obs, sched)
-        # neither a failed cpotrf (no step) nor the step cap
+        # neither a failed cpftrf (no step) nor the step cap
         assert 0 < len(steps) < baselines._REFINE_MAX_STEPS
         assert calls == [40]
         np.testing.assert_array_equal(
@@ -180,15 +183,55 @@ class TestLsFullMixedPrecision:
 
     def test_failed_complex64_factor_falls_back_to_complex128(self, monkeypatch):
         # closer pilot columns: cond(D) is about 2e4, so cond(Gram) is beyond
-        # complex64 and cpotrf fails before any refinement step
+        # complex64 and cpftrf fails before any refinement step
         sched, obs = near_dependent_pilots(1e-4)
-        steps = spy_on_cpotrs(monkeypatch)
+        steps = spy_on_cpftrs(monkeypatch)
         calls = spy_on_double_solve(monkeypatch)
         h_hat = ls_full(obs, sched)
         assert steps == []
         assert calls == [40]
         reference = lstsq_reference(obs, sched)
         assert np.linalg.norm(h_hat - reference) <= 1e-6 * np.linalg.norm(reference)
+
+
+def square_dims(k):
+    """``(n_bs, m_ris)`` with ``n_bs * m_ris == k``, ``n_bs`` at most ``sqrt(k)``."""
+    n_bs = max(d for d in range(1, math.isqrt(k) + 1) if k % d == 0)
+    return n_bs, k // n_bs
+
+
+class TestLsFullPackedGram:
+    """The Gram is summed from blocks of ``_GRAM_BLOCK`` slots in packed
+    storage; no call holds the (k, m n) design."""
+
+    BLOCK = baselines._GRAM_BLOCK
+
+    @pytest.mark.parametrize("k", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+    @pytest.mark.parametrize("square", [False, True], ids=["complex64", "complex128"])
+    def test_matches_lstsq_across_block_edges(self, monkeypatch, k, square):
+        # K > MN factors in complex64, K = MN in complex128
+        n_bs, m_ris = square_dims(k) if square else (8, 24)
+        blocks = spy_on_hfrk(monkeypatch)
+        _, sched, _, obs = make_case(330, n_bs=n_bs, m_ris=m_ris, k=k, noise_var=0.5)
+        reference = lstsq_reference(obs, sched)
+        h_hat = ls_full(obs, sched)
+        assert np.linalg.norm(h_hat - reference) <= 1e-10 * np.linalg.norm(reference)
+        # one rank-k update per block, the last one short
+        assert blocks == ["zhfrk" if square else "chfrk"] * math.ceil(k / self.BLOCK)
+
+    def test_peak_memory_below_the_dense_design(self):
+        # five blocks on the complex64 path: the whole complex64 design would
+        # take 4.9 MB, the packed Gram and one block about 1 MB each
+        k, n_bs, m_ris = 1200, 16, 32
+        _, sched, _, obs = make_case(331, n_bs=n_bs, m_ris=m_ris, k=k, noise_var=0.5)
+        design_bytes = k * n_bs * m_ris * np.dtype(np.complex64).itemsize
+        tracemalloc.start()
+        try:
+            ls_full(obs, sched)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < design_bytes
 
 
 class TestLrRankone:
@@ -272,12 +315,12 @@ class TestObservationLength:
             self.ESTIMATORS[name](wrong, sched)
 
     def test_ls_full_rejects_before_the_gram(self, monkeypatch):
-        grams = spy_on_herk(monkeypatch)
+        blocks = spy_on_hfrk(monkeypatch)
         dims = SystemDims(n_bs=4, m_ris=6, k_pilots=30)
         _, sched, obs = simulate_downlink(dims, 0.1, np.random.default_rng(321))
         short = ObservationSet(values=obs.values[:-1])
         with pytest.raises(ValueError, match=r"\(30,\) for this schedule, got \(29,\)"):
             ls_full(short, sched)
-        assert grams == []
+        assert blocks == []  # no block reached the Gram
         ls_full(obs, sched)
-        assert grams == ["cherk"]  # the spy sees the Gram of a well-formed call
+        assert blocks == ["chfrk"]  # the spy sees the one block of a well-formed call

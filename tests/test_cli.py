@@ -200,6 +200,12 @@ class TestOverheadCommand:
         assert main(["overhead", "--config", str(config)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_missing_dims_key_is_named(self, tmp_path, capsys):
+        config = tmp_path / "dims.json"
+        config.write_text(json.dumps({"n_bs": 2, "m_ris": 3}))
+        assert main(["overhead", "--config", str(config)]) == 1
+        assert capsys.readouterr().err == f"error: config {config} has no 'dims' key\n"
+
     def test_json_output_file(self, tmp_path):
         out = tmp_path / "overhead.json"
         assert main(["overhead", "--out", str(out), "--format", "json"]) == 0

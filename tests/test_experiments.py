@@ -4,6 +4,7 @@ import threading
 
 import numpy as np
 import pytest
+import scipy
 
 from rismf import (
     CSV_HEADER,
@@ -481,6 +482,18 @@ class TestPersistence:
         meta = json.loads((tmp_path / "sweep.csv.meta.json").read_text())
         assert "version" in meta
         assert ExperimentSpec.from_dict(meta["spec"]) == spec
+
+    def test_meta_sidecar_records_the_blas_environment(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setenv("OMP_NUM_THREADS", "2")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        out = tmp_path / "sweep.csv"
+        write_results(run_sweep(tiny_spec()), out)
+        meta = json.loads((tmp_path / "sweep.csv.meta.json").read_text())
+        assert meta["numpy"] == np.__version__ and meta["scipy"] == scipy.__version__
+        assert meta["blas_threads"] == {
+            "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2", "MKL_NUM_THREADS": None
+        }
 
     @pytest.mark.parametrize("change", ["extra", "missing"])
     def test_json_key_mismatch_rejected(self, tmp_path, change):
