@@ -33,7 +33,7 @@ from .experiments import (
     trial_seed,
     write_results,
 )
-from .mf import MfConfig, estimate_single_user, gd_gradients, objective
+from .mf import MfConfig, _gd_terms, estimate_single_user, objective
 from .multiuser import estimate_a_q, predicted_mse
 from .signals import (
     UplinkSchedule,
@@ -169,7 +169,7 @@ def _criterion_feasibility_boundary():
 
     obs, sched = observe(full)
     value = nmse(cascade.h_e, ls_full(obs, sched))
-    checks.append((f"LS K=MN exact (NMSE {value:.2e})", value <= 1e-12))
+    checks.append(("LS K=MN exact (NMSE <= 1e-12)", value <= 1e-12))
 
     passed = all(ok for _, ok in checks)
     return passed, "; ".join(f"{label}: {'ok' if ok else 'FAIL'}" for label, ok in checks)
@@ -185,7 +185,7 @@ def _criterion_gradients():
         _, sched, obs = simulate_downlink(dims, 0.1, rng)
         a_bar = (rng.standard_normal(dims.m_ris) + 1j * rng.standard_normal(dims.m_ris)) / np.sqrt(2)
         psi = rng.uniform()
-        grad_re, grad_im, grad_psi = gd_gradients(a_bar, psi, obs, sched)
+        grad_a, grad_psi, _, _ = _gd_terms(a_bar, psi, obs, sched)
 
         def rel(numeric, analytic):
             return abs(numeric - analytic) / max(abs(numeric), abs(analytic), 1e-6)
@@ -195,10 +195,10 @@ def _criterion_gradients():
             bump[idx] = step
             numeric = (objective(a_bar + bump, psi, obs, sched)
                        - objective(a_bar - bump, psi, obs, sched)) / (2 * step)
-            worst = max(worst, rel(numeric, grad_re[idx]))
+            worst = max(worst, rel(numeric, grad_a.real[idx]))
             numeric = (objective(a_bar + 1j * bump, psi, obs, sched)
                        - objective(a_bar - 1j * bump, psi, obs, sched)) / (2 * step)
-            worst = max(worst, rel(numeric, grad_im[idx]))
+            worst = max(worst, rel(numeric, grad_a.imag[idx]))
         numeric = (objective(a_bar, psi + step, obs, sched)
                    - objective(a_bar, psi - step, obs, sched)) / (2 * step)
         worst = max(worst, rel(numeric, grad_psi))

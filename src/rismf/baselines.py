@@ -6,13 +6,13 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .mf import EstimateResult, _misfit, _scaled_lstsq, _solve, spectral_matrix
+from .channel import _require
 from .signals import (
     ObservationSet,
     PilotSchedule,
     _check_downlink_values,
     _downlink_adjoint,
     _downlink_forward,
-    _require_schedule,
 )
 
 __all__ = ["ls_full", "lr_rankone"]
@@ -48,7 +48,7 @@ def ls_full(obs: ObservationSet, sched: PilotSchedule) -> np.ndarray:
     complex64, where refinement mostly runs all its steps and still falls
     back.
     """
-    _require_schedule(sched, PilotSchedule, "ls_full")
+    _require("ls_full", (obs, ObservationSet), (sched, PilotSchedule))
     _check_downlink_values(sched, obs.values)
     k, n_bs = sched.pilots.shape
     m_ris = sched.phases.shape[1]

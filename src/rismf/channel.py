@@ -20,7 +20,6 @@ factor of a small Gram.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +30,6 @@ __all__ = [
     "ChannelRealization",
     "CascadedChannel",
     "array_response",
-    "steering_matrix",
     "complex_normal",
     "sample_channel",
     "cascaded_downlink",
@@ -54,17 +52,23 @@ def array_response(n_elements: int, angle: float) -> np.ndarray:
         Number of array elements.
     angle : float
         Normalized spatial frequency. The response is 1-periodic in it, so
-        any real value is accepted; the canonical domain is [0, 1).
+        any finite real value is accepted; the canonical domain is [0, 1).
+        An array of angles of shape (a, 1) gives the responses as rows.
 
     Returns
     -------
     np.ndarray
         Complex vector of shape (n_elements,) with unit 2-norm.
     """
+    if not (_is_count(n_elements) and (_is_real(angle) and math.isfinite(angle) or (
+            isinstance(angle, np.ndarray) and np.isfinite(angle).all()))):
+        raise ValueError(f"array_response needs a positive integer count and finite real "
+                         f"angles, got {n_elements!r} and {angle!r}")
     idx = np.arange(n_elements)
     return np.exp(-2j * np.pi * angle * idx) / np.sqrt(n_elements)
 
 
+# Unused in the package: kept only while the benchmark counts the angles it evaluates.
 def steering_matrix(n_elements: int, angles) -> np.ndarray:
     """Array responses for a grid of angles, stacked as columns (n, len(angles))."""
     angles = np.atleast_1d(np.asarray(angles, dtype=float))
@@ -77,11 +81,16 @@ def complex_normal(rng: np.random.Generator, shape=None, var: float = 1.0):
 
     All real parts are drawn before all imaginary parts; both are scaled
     straight into one complex array, bit for bit ``scale * (re + 1j * im)``.
-    A negative or non-finite ``var`` is a ``ValueError``, raised before any draw.
+    A negative or non-finite ``var``, an ``rng`` other than a Generator, or a
+    ``shape`` numpy cannot draw is a ``ValueError``, raised before any draw.
     """
     _check_variance(var, "var")
+    _require("complex_normal", (rng, np.random.Generator))
     scale = np.sqrt(var / 2.0)
-    re = rng.standard_normal(shape)
+    try:
+        re = rng.standard_normal(shape)
+    except TypeError as err:
+        raise ValueError(f"complex_normal needs an integer shape, got {shape!r}") from err
     im = rng.standard_normal(shape)
     out = np.empty(np.shape(re), dtype=complex)
     np.multiply(scale, re, out=out.real)
@@ -90,9 +99,24 @@ def complex_normal(rng: np.random.Generator, shape=None, var: float = 1.0):
 
 
 def _check_variance(value: float, name: str) -> None:
-    """Raise ``ValueError`` naming ``name`` unless ``value`` is finite and nonnegative."""
-    if not (math.isfinite(value) and value >= 0.0):
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is a finite nonnegative real."""
+    if not (_is_real(value) and math.isfinite(value) and value >= 0.0):
         raise ValueError(f"{name} must be finite and nonnegative, got {value}")
+
+
+def _is_real(value) -> bool:
+    """A Python or numpy real number that is not a bool. It tests concrete types:
+    an isinstance check against a ``numbers`` ABC is about ten times slower."""
+    return isinstance(value, (float, int, np.floating, np.integer)) and not isinstance(value, bool)
+
+
+def _require(caller: str, *checks) -> None:
+    """Raise ``ValueError`` naming ``caller`` unless each ``(value, kind)`` is an instance."""
+    for value, kind in checks:
+        if not isinstance(value, kind):
+            name = kind.__name__
+            article = "an" if name[0] in "AEIOU" else "a"
+            raise ValueError(f"{caller} needs {article} {name}, got {type(value).__name__}")
 
 
 def _cholesky(gram: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -114,8 +138,8 @@ def _cholesky(gram: np.ndarray) -> tuple[np.ndarray, bool]:
 
 
 def _is_count(value) -> bool:
-    """True for a positive integer; bools are not counts."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1
+    """True for a positive Python or numpy integer; bools are not counts."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 1
 
 
 @dataclass(frozen=True)
@@ -178,13 +202,17 @@ class CascadedChannel:
     ``h_e`` is (m_ris, n_bs) in the downlink and (n_bs, m_ris) in the uplink.
     ``a_bar`` and ``psi`` are set when the BS-side angle is supplied, in
     which case ``h_e == a_bar a_b(psi)^H`` (downlink) or
-    ``h_e == a_b(psi) a_bar^H`` (uplink).
+    ``h_e == a_b(psi) a_bar^H`` (uplink). A non-finite ``h_e`` is a ``ValueError``.
     """
 
     h_e: np.ndarray
     a_bar: np.ndarray | None
     psi: float | None
     uplink: bool = False
+
+    def __post_init__(self):
+        if not np.isfinite(self.h_e).all():
+            raise ValueError("a cascaded channel must be finite")
 
 
 def sample_channel(dims: SystemDims, rng: np.random.Generator) -> ChannelRealization:
@@ -198,6 +226,7 @@ def sample_channel(dims: SystemDims, rng: np.random.Generator) -> ChannelRealiza
     The draws are psi, phi, the gain, then ``h_users``, each as an array
     (``size=1`` for the scalars), so a seed fixes every bit of the channel.
     """
+    _require("sample_channel", (dims, SystemDims), (rng, np.random.Generator))
     psi = rng.uniform(size=1)[0]
     phi = rng.uniform(size=1)[0]
     beta = complex_normal(rng, 1, var=float(dims.n_bs))[0]
@@ -215,10 +244,11 @@ def cascaded_downlink(h_r: np.ndarray, g: np.ndarray, psi: float | None = None) 
     factor is recovered as ``a_bar = h_e a_b(psi)``, exact whenever ``h_e`` is
     rank one with right factor ``a_b(psi)``.
     """
+    _require("cascaded_downlink", (h_r, np.ndarray), (g, np.ndarray))
     h_e = h_r.conj()[:, None] * g
     a_bar = None
     if psi is not None:
-        a_bar = h_e @ array_response(g.shape[1], psi)
+        a_bar = h_e @ array_response(g.shape[-1], psi)
     return CascadedChannel(h_e=h_e, a_bar=a_bar, psi=psi, uplink=False)
 
 
@@ -228,6 +258,7 @@ def cascaded_uplink(g: np.ndarray, h_q: np.ndarray, psi: float | None = None) ->
     ``g`` must be in the uplink orientation (n_bs, m_ris). With ``psi`` given,
     the RIS-side factor is ``a_bar = h_e^H a_b(psi)``, exact for rank-one ``g``.
     """
+    _require("cascaded_uplink", (g, np.ndarray), (h_q, np.ndarray))
     h_e = g * h_q[None, :]
     a_bar = None
     if psi is not None:

@@ -14,7 +14,7 @@ import json
 import math
 import numbers
 import os
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +22,8 @@ import scipy
 
 from . import __version__
 from .baselines import lr_rankone, ls_full
-from .channel import SystemDims, _is_count, cascaded_downlink, cascaded_uplink, sample_channel
+from .channel import (SystemDims, _is_count, _is_real, _require, cascaded_downlink,
+                      cascaded_uplink, sample_channel)
 from .mf import MfConfig, estimate_single_user
 from .multiuser import estimate_multi_user
 from .signals import downlink_observe, make_pilot_schedule, make_uplink_schedule, uplink_observe
@@ -87,13 +88,14 @@ SCENARIOS = {"single_user_downlink": ESTIMATORS, "multi_user_uplink": {
 
 
 def nmse(h_true: np.ndarray, h_hat: np.ndarray) -> float:
-    """Per-trial normalized error ``||h_true - h_hat||_F^2 / ||h_true||_F^2``."""
-    if h_true.shape != h_hat.shape:
-        raise ValueError(f"shape mismatch: {h_true.shape} vs {h_hat.shape}")
+    """Per-trial ``||h_true - h_hat||_F^2 / ||h_true||_F^2``, finite or a ``ValueError``."""
+    if np.shape(h_true) != np.shape(h_hat):
+        raise ValueError(f"shape mismatch: {np.shape(h_true)} vs {np.shape(h_hat)}")
     denom = np.linalg.norm(h_true) ** 2
-    if denom == 0.0:
-        raise ValueError("nmse is undefined for a zero reference channel")
-    return float(np.linalg.norm(h_true - h_hat) ** 2 / denom)
+    value = np.linalg.norm(h_true - h_hat) ** 2 / denom if denom > 0.0 else math.nan
+    if not math.isfinite(value):
+        raise ValueError("nmse needs finite channels and a nonzero reference channel")
+    return float(value)
 
 
 def _rank_one_design(h_e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -117,13 +119,18 @@ def spectral_efficiency(h_e_true: np.ndarray, h_e_hat: np.ndarray, noise_var: fl
     ``h_e_hat`` and the BS beamformer is its matched right vector. With
     ``h_e_hat = h_e_true`` this is the optimal rate: for rank-one channels
     the design then maximizes the received power exactly. Returns
-    ``log2(1 + |theta^T h_e_true x|^2 / noise_var)``.
+    ``log2(1 + |theta^T h_e_true x|^2 / noise_var)``, which must be finite.
     """
-    if not (math.isfinite(noise_var) and noise_var > 0.0):
+    if np.shape(h_e_true) != np.shape(h_e_hat):
+        raise ValueError(f"shape mismatch: {np.shape(h_e_true)} vs {np.shape(h_e_hat)}")
+    if not (_is_real(noise_var) and 0.0 < noise_var < math.inf):
         raise ValueError(
             f"spectral efficiency needs a positive finite noise variance, got {noise_var}"
         )
-    return _rate(h_e_true, *_rank_one_design(h_e_hat), noise_var)
+    rate = _rate(h_e_true, *_rank_one_design(h_e_hat), noise_var)
+    if not math.isfinite(rate):
+        raise ValueError("spectral efficiency needs finite channels")
+    return rate
 
 
 def overhead_table(dims: SystemDims) -> dict[str, int]:
@@ -131,6 +138,7 @@ def overhead_table(dims: SystemDims) -> dict[str, int]:
 
     KBF is included for reference only; it is not a runnable estimator here.
     """
+    _require("overhead_table", (dims, SystemDims))
     n, m = dims.n_bs, dims.m_ris
     table = {name: entry.min_pilots(n, m) for name, entry in ESTIMATORS.items()}
     table["KBF"] = m * n
@@ -204,7 +212,7 @@ class ExperimentSpec:
     master_seed: int = 0
 
     def __post_init__(self):
-        if self.scenario not in SCENARIOS:
+        if not (isinstance(self.scenario, str) and self.scenario in SCENARIOS):
             raise ValueError(f"unknown scenario {self.scenario!r}")
         self.dims = _sweep_dims(self.scenario, self.dims)
         seed = self.master_seed
@@ -303,8 +311,10 @@ def aggregate_nmse(records) -> float:
     1/|beta|^2 in it), so sweep-level averages use this ratio. No records,
     or one without energies (infeasible, or read from CSV), is a ValueError.
     """
+    _require("aggregate_nmse", (records, Iterable))
     records = list(records)
-    if not records or any(r.error_energy is None for r in records):
+    if not records or any(not isinstance(r, ResultRecord) or r.error_energy is None
+                          for r in records):
         raise ValueError("aggregate NMSE needs records that all carry their energies")
     return sum(r.error_energy for r in records) / sum(r.reference_energy for r in records)
 
@@ -319,11 +329,6 @@ def trial_seed(master_seed: int, estimator: str, snr_index: int, k_index: int, t
     key = f"{master_seed}:{estimator}:{snr_index}:{k_index}:{trial}"
     digest = hashlib.sha256(key.encode("ascii")).digest()
     return int.from_bytes(digest[:8], "little")
-
-
-def _is_real(value) -> bool:
-    """A real number that is not a bool."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _noise_var(snr_db: float) -> float:
@@ -383,6 +388,7 @@ def run_sweep(spec: ExperimentSpec, n_threads: int = 1) -> list[ResultRecord]:
     cell derives its own rng from the mixed trial seed. ``n_threads`` must
     be a positive integer; it is accepted and validated but selects nothing.
     """
+    _require("run_sweep", (spec, ExperimentSpec))
     if not _is_count(n_threads):
         raise ValueError(f"n_threads must be a positive integer, got {n_threads!r}")
     records = [
@@ -419,7 +425,12 @@ def write_results(records, path, format: str = "csv", spec: ExperimentSpec | Non
     versions, the BLAS thread variables as found, and the spec if given.
     """
     path = str(path)
+    _require("write_results", (records, Iterable))
+    records = list(records)  # validated, then written: a generator must not run dry
+    if spec is not None:
+        _require("write_results", (spec, ExperimentSpec))
     for record in records:
+        _require("write_results", (record, ResultRecord))
         record.validate()
 
     if format == "csv":

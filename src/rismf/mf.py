@@ -26,6 +26,7 @@ guarded and kept only if it does not raise the misfit.
 from __future__ import annotations
 
 import ctypes
+import math
 import threading
 from dataclasses import dataclass
 from pathlib import Path
@@ -33,23 +34,10 @@ from pathlib import Path
 import numpy as np
 import scipy.linalg
 
-from .channel import _cholesky, _is_count, array_response
-from .signals import ObservationSet, PilotSchedule, _downlink_adjoint, _require_schedule
+from .channel import _cholesky, _is_count, _require, array_response
+from .signals import ObservationSet, PilotSchedule, _downlink_adjoint
 
-__all__ = [
-    "MfConfig",
-    "EstimateResult",
-    "objective",
-    "spectral_matrix",
-    "manifold_coefficients",
-    "maximize_over_manifold",
-    "init_psi",
-    "ls_a_bar",
-    "am_iterate",
-    "gd_gradients",
-    "gd_iterate",
-    "estimate_single_user",
-]
+__all__ = ["MfConfig", "EstimateResult", "objective", "estimate_single_user"]
 
 _DEFAULT_ITERS = {"am": 200, "gd": 2000}
 # The angle search's grid has this many points per BS antenna. Its spacing
@@ -72,7 +60,7 @@ class MfConfig:
     max_iters: int | None = None
 
     def __post_init__(self):
-        if self.solver not in _DEFAULT_ITERS:
+        if not (isinstance(self.solver, str) and self.solver in _DEFAULT_ITERS):
             raise ValueError(
                 f"unknown solver {self.solver!r}, expected one of {sorted(_DEFAULT_ITERS)}"
             )
@@ -144,8 +132,8 @@ def _solve(start, sweep, obs: ObservationSet, sched: PilotSchedule, max_iters: i
     ``sweep(*state, value, obs, sched) -> (*state, value)``, ``value`` being
     the misfit, until the stop rule holds or ``max_iters`` sweeps have run.
     Returns ``(state, history, converged)``; ``converged`` says the rule held.
-    A schedule other than a :class:`~rismf.signals.PilotSchedule`, or
-    identically zero observations, raise ``ValueError``.
+    Data other than an ObservationSet and a :class:`~rismf.signals.PilotSchedule`,
+    or identically zero observations, raise ``ValueError``.
 
     The rule: the last sweep lowered the misfit by at most a
     ``_TOL_OBJECTIVE`` fraction, or the misfit is at the rounding floor of
@@ -155,7 +143,7 @@ def _solve(start, sweep, obs: ObservationSet, sched: PilotSchedule, max_iters: i
     restored after: products on (k, m_ris) operands gain nothing from BLAS
     threads, which only add spread and core-dependent rounding.
     """
-    _require_schedule(sched, PilotSchedule, "a downlink solve")
+    _require("a downlink solve", (obs, ObservationSet), (sched, PilotSchedule))
     if not np.any(obs.values):
         raise ValueError("observations are identically zero; nothing to estimate")
     energy = float(np.sum(np.abs(obs.values) ** 2))
@@ -197,17 +185,18 @@ def _scaled_lstsq(gains: np.ndarray, rows: np.ndarray, values: np.ndarray) -> np
 
 
 def objective(a_bar: np.ndarray, psi: float, obs: ObservationSet, sched: PilotSchedule) -> float:
-    """Training-data misfit ``sum_k |theta_k^T a_bar a_b(psi)^H x_k - r_k|^2``."""
-    return _misfit(a_bar, array_response(sched.pilots.shape[1], psi), obs, sched)
+    """Training-data misfit ``sum_k |theta_k^T a_bar a_b(psi)^H x_k - r_k|^2``;
+    a non-finite misfit is a ``ValueError``."""
+    _require("objective", (a_bar, np.ndarray), (obs, ObservationSet), (sched, PilotSchedule))
+    value = _misfit(a_bar, array_response(sched.pilots.shape[1], psi), obs, sched)
+    if not math.isfinite(value):
+        raise ValueError(f"objective needs a finite a_bar, got a misfit of {value}")
+    return value
 
 
 def spectral_matrix(obs: ObservationSet, sched: PilotSchedule) -> np.ndarray:
-    """Initialization statistic ``S = (sqrt(n)/k) sum_k r_k conj(theta_k) x_k^H``,
-    the scaled :func:`~rismf.signals._downlink_adjoint` of the data.
-
-    Its expectation over random schedules is proportional to the true
-    ``a_bar a_b(psi)^H``, shape (m_ris, n_bs).
-    """
+    """Initialization statistic ``S = (sqrt(n)/k) sum_k r_k conj(theta_k) x_k^H``, shape
+    (m_ris, n_bs), whose mean over random schedules is proportional to ``a_bar a_b(psi)^H``."""
     n_bs = sched.pilots.shape[1]
     return (np.sqrt(n_bs) / sched.k_pilots) * _downlink_adjoint(sched, obs.values)
 
@@ -306,11 +295,8 @@ def init_psi(s_matrix: np.ndarray) -> float:
 
 
 def ls_a_bar(psi: float, obs: ObservationSet, sched: PilotSchedule) -> np.ndarray:
-    """Exact LS solve for ``a_bar`` at fixed ``psi``.
-
-    The design matrix has rows ``(a_b(psi)^H x_k) theta_k^T`` and must be
-    tall: k >= m_ris.
-    """
+    """Exact LS ``a_bar`` at fixed ``psi``: the design has rows
+    ``(a_b(psi)^H x_k) theta_k^T`` and must be tall, k >= m_ris."""
     gains = sched.pilots @ array_response(sched.pilots.shape[1], psi).conj()
     return _scaled_lstsq(gains, sched.phases, obs.values)
 
@@ -337,20 +323,13 @@ def am_iterate(
     """One alternating-minimization sweep from ``(a_bar, psi)``, whose
     objective is ``value``; returns the new ``(a_bar, psi, value)``.
 
-    First the angle update: the minimizer of
-    ``sum_k |theta_k^T a_bar x_k^T conj(a_b(psi)) - r_k|^2`` at the current
-    ``a_bar``, i.e. :func:`maximize_over_manifold` of the score
-    ``Re(a_b^H G a_b) + 2 Re(a_b^H w)`` with ``G = -Y Y^H``, ``w = Y conj(r)``
-    and column k of Y equal to ``(theta_k^T a_bar) x_k``. The score's
-    coefficients come from the schedule's pilot autocorrelation
-    (:func:`_angle_coefficients`), so the angle step costs O(k n_bs) per
-    sweep plus the search's one FFT. The candidate is accepted only if the
-    directly evaluated objective does not increase, which guards against
-    rounding in the polynomial form. Then the exact LS update of ``a_bar``
-    at the accepted angle, which in exact arithmetic can only decrease the
-    objective further. At the optimum the LS solve can round the misfit up
-    by an ulp or so (seen after an Aitken jump of :func:`_am_sweep`); such a
-    sweep returns its input unchanged, so the sweep is monotone.
+    First the angle that minimizes the misfit at the current ``a_bar``: the
+    :func:`maximize_over_manifold` of the score of :func:`_angle_coefficients`,
+    O(k n_bs) plus one FFT, kept only if the directly evaluated objective does
+    not increase (a guard against rounding in the polynomial form). Then the
+    exact LS ``a_bar`` at that angle. A sweep whose LS solve rounds the misfit
+    up (by an ulp or so at the optimum, after an Aitken jump of
+    :func:`_am_sweep`) returns its input unchanged, so the sweep is monotone.
     """
     angle = maximize_over_manifold(_angle_coefficients(a_bar, obs, sched))
     if objective(a_bar, angle, obs, sched) > value:
@@ -366,8 +345,16 @@ def _gd_terms(
     a_bar: np.ndarray, psi: float, obs: ObservationSet, sched: PilotSchedule
 ) -> tuple[np.ndarray, float, float, float]:
     """Complex gradient over a_bar, gradient over psi, and the Gauss-Newton
-    diagonal curvatures ``h_a`` of each a_bar coordinate and ``h_psi`` of psi
-    (see :func:`gd_gradients` and :func:`gd_iterate`)."""
+    diagonal curvatures ``h_a`` of each a_bar coordinate and ``h_psi`` of psi.
+
+    With residual ``e_k = theta_k^T a_bar a_b^H x_k - r_k``, pilot gain
+    ``c_k = a_b(psi)^H x_k``, its slope ``c'_k = (d a_b / d psi)^H x_k`` and RIS
+    gain ``g_k = theta_k^T a_bar``: the a_bar gradient is
+    ``2 sum_k conj(c_k) conj(theta_k) e_k``, its real and imaginary parts those
+    over Re a_bar and Im a_bar; the psi gradient chains ``2 sum_k g_k x_k
+    conj(e_k)`` through ``d a_b / d psi``, with phase slopes ``z_i = 2 pi i``.
+    ``h_a = 2 sum_k |c_k|^2`` (``|theta_k,i| = 1``), ``h_psi = 2 sum_k |g_k|^2 |c'_k|^2``.
+    """
     n_bs = sched.pilots.shape[1]
     a_b = array_response(n_bs, psi)
     c = sched.pilots @ a_b.conj()
@@ -389,26 +376,6 @@ def _gd_terms(
     return grad_a, grad_psi, h_a, h_psi
 
 
-def gd_gradients(
-    a_bar: np.ndarray,
-    psi: float,
-    obs: ObservationSet,
-    sched: PilotSchedule,
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Gradients of the misfit w.r.t. (Re a_bar, Im a_bar, psi).
-
-    With residual ``e_k = theta_k^T a_bar a_b^H x_k - r_k``, pilot gain
-    ``c_k = a_b(psi)^H x_k`` and RIS gain ``g_k = theta_k^T a_bar``:
-
-    * grad over a_bar: ``2 sum_k conj(c_k) conj(theta_k) e_k`` (real part is
-      the Re-gradient, imaginary part the Im-gradient),
-    * grad over the steering vector: ``2 sum_k g_k x_k conj(e_k)``, chained
-      through ``d a_b / d psi`` with phase slopes ``z_i = 2 pi i``.
-    """
-    grad_a, grad_psi, _, _ = _gd_terms(a_bar, psi, obs, sched)
-    return grad_a.real, grad_a.imag, grad_psi
-
-
 def gd_iterate(
     a_bar: np.ndarray, psi: float, value: float, obs: ObservationSet, sched: PilotSchedule
 ) -> tuple[np.ndarray, float, float]:
@@ -417,10 +384,7 @@ def gd_iterate(
     ``(a_bar, psi, value)``.
 
     Each block's gradient is divided by its Gauss-Newton diagonal curvature
-    at the current iterate: ``h_a = 2 sum_k |c_k|^2`` for every a_bar
-    coordinate (``|theta_k,i| = 1``), with ``c_k = a_b(psi)^H x_k``, and
-    ``h_psi = 2 sum_k |g_k|^2 |c'_k|^2`` for psi, with ``g_k = theta_k^T a_bar``
-    and ``c'_k = (d a_b / d psi)^H x_k``. A block with zero curvature does not
+    at the current iterate (:func:`_gd_terms`). A block with zero curvature does not
     move (``a_bar = 0`` gives ``h_psi = 0``). The step is then unit-free:
     scaling the data scales ``a_bar``'s step with it and leaves psi's alone.
     The trial step starts at 1 and is halved (up to ``_MAX_BACKTRACKS``
@@ -517,7 +481,8 @@ def estimate_single_user(
     The estimator is deterministic in the data; only the (a_bar, psi)
     product is identifiable, and the returned ``h_e_hat`` is that product.
     """
-    config = config or MfConfig()
+    config = MfConfig() if config is None else config
+    _require("estimate_single_user", (config, MfConfig))
     if config.solver == "am":
         start, sweep = _am_start, _am_sweep
     else:

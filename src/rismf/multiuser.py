@@ -17,17 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .channel import _check_variance, array_response
+from .channel import _check_variance, _require, array_response
 from .mf import init_psi
-from .signals import ObservationSet, UplinkSchedule, _require_schedule, despread
+from .signals import ObservationSet, UplinkSchedule, despread
 
-__all__ = [
-    "MultiUserEstimate",
-    "estimate_psi_uplink",
-    "estimate_a_q",
-    "predicted_mse",
-    "estimate_multi_user",
-]
+__all__ = ["MultiUserEstimate", "estimate_a_q", "predicted_mse", "estimate_multi_user"]
 
 _TRTRI = scipy.linalg.lapack.get_lapack_funcs("trtri", dtype=complex)
 
@@ -47,12 +41,9 @@ class MultiUserEstimate:
 
 
 def estimate_psi_uplink(s_list) -> float:
-    """Shared BS-side angle ``argmax_psi || a_b(psi)^H [S_1 ... S_Q] ||^2``:
-    :func:`~rismf.mf.init_psi` of the stacked data's conjugate transpose.
-
-    ``s_list`` is a sequence of despread (n_bs, k) matrices. Noiselessly each
-    has exact left factor ``a_b(psi)``, so the score peaks at the true angle.
-    """
+    """Shared BS-side angle ``argmax_psi || a_b(psi)^H [S_1 ... S_Q] ||^2`` of the
+    despread (n_bs, k) users in ``s_list``: :func:`~rismf.mf.init_psi` of their
+    stacked conjugate transpose."""
     stacked = np.hstack([np.asarray(s) for s in s_list])
     # conjugated in place, so the call allocates no second (n_bs, Q k) array
     return init_psi(np.conjugate(stacked, out=stacked).T)
@@ -74,7 +65,7 @@ def estimate_a_q(s_q: np.ndarray, sched: UplinkSchedule, psi_hat: float) -> np.n
     stack of them, shape (q, n_bs, k), giving shape (q, m). To solve against
     a bare phase array, wrap it: ``UplinkSchedule(phases, orthogonal_user_pilots(1, 1))``.
     """
-    _require_schedule(sched, UplinkSchedule, "estimate_a_q")
+    _require("estimate_a_q", (s_q, np.ndarray), (sched, UplinkSchedule))
     k = sched.phases.shape[0]
     if s_q.ndim not in (2, 3) or s_q.shape[-1] != k:
         raise ValueError(
@@ -84,7 +75,10 @@ def estimate_a_q(s_q: np.ndarray, sched: UplinkSchedule, psi_hat: float) -> np.n
     a_b = array_response(s_q.shape[-2], psi_hat)
     projected = s_q.conj().swapaxes(-1, -2) @ a_b  # (k,) or (q, k)
     rhs = sched.phases.T @ projected.T
-    return scipy.linalg.cho_solve(sched.phase_gram_factor, rhs, check_finite=False).T
+    a_bar = scipy.linalg.cho_solve(sched.phase_gram_factor, rhs, check_finite=False).T
+    if not np.isfinite(a_bar).all():
+        raise ValueError("estimate_a_q needs finite despread users")
+    return a_bar
 
 
 def predicted_mse(noise_var: float, sched: UplinkSchedule) -> float:
@@ -99,7 +93,7 @@ def predicted_mse(noise_var: float, sched: UplinkSchedule) -> float:
     ``trtri`` inverts in place of a solve against the identity. A negative
     or non-finite ``noise_var`` is a ``ValueError``, as in synthesis.
     """
-    _require_schedule(sched, UplinkSchedule, "predicted_mse")
+    _require("predicted_mse", (sched, UplinkSchedule))
     _check_variance(noise_var, "noise_var")
     triangle, lower = sched.phase_gram_factor
     # cho_factor leaves Gram entries in the factor's unused triangle

@@ -19,7 +19,7 @@ estimator reads the variance, so :class:`ObservationSet` holds values only.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.linalg import blas
@@ -30,6 +30,7 @@ from .channel import (
     _check_variance,
     _cholesky,
     _is_count,
+    _require,
     complex_normal,
 )
 
@@ -64,11 +65,7 @@ class PilotSchedule:
     phases: np.ndarray
 
     def __post_init__(self):
-        if any(a.ndim != 2 or a.size == 0 for a in (self.pilots, self.phases)):
-            raise ValueError(
-                f"pilots (k, n_bs) and phases (k, m_ris) must be non-empty 2-D arrays, "
-                f"got {self.pilots.shape} and {self.phases.shape}"
-            )
+        _check_schedule(self)
         if self.pilots.shape[0] != self.phases.shape[0]:
             raise ValueError(
                 f"slot count mismatch: {self.pilots.shape[0]} pilots vs "
@@ -78,8 +75,6 @@ class PilotSchedule:
         # written as "not <=" so that NaN entries fail too
         if not np.abs(norms - 1.0).max() <= _UNIT_TOL:
             raise ValueError("every pilot must have unit norm")
-        if not np.abs(np.abs(self.phases) - 1.0).max() <= _UNIT_TOL:
-            raise ValueError("every phase entry must have unit modulus")
 
     @property
     def k_pilots(self) -> int:
@@ -117,13 +112,7 @@ class UplinkSchedule:
     user_pilots: np.ndarray
 
     def __post_init__(self):
-        if any(a.ndim != 2 or a.size == 0 for a in (self.phases, self.user_pilots)):
-            raise ValueError(
-                f"phases (k, m_ris) and user_pilots (q_users, t_symbols) must be non-empty "
-                f"2-D arrays, got {self.phases.shape} and {self.user_pilots.shape}"
-            )
-        if not np.abs(np.abs(self.phases) - 1.0).max() <= _UNIT_TOL:
-            raise ValueError("every phase entry must have unit modulus")
+        _check_schedule(self)
         q_users, t_symbols = self.user_pilots.shape
         gram = self.user_pilots @ self.user_pilots.conj().T
         if not np.abs(gram - t_symbols * np.eye(q_users)).max() <= _UNIT_TOL * t_symbols:
@@ -152,20 +141,30 @@ class UplinkSchedule:
         return triangle, lower
 
 
+def _check_schedule(sched) -> None:
+    """Both schedules' first check: non-empty 2-D ndarray fields, unit-modulus phases."""
+    arrays = [getattr(sched, field.name) for field in fields(sched)]
+    if not all(isinstance(a, np.ndarray) and a.ndim == 2 and a.size for a in arrays):
+        raise ValueError(f"{type(sched).__name__} needs non-empty 2-D arrays, got " + " and ".join(
+            str(a.shape) if isinstance(a, np.ndarray) else type(a).__name__ for a in arrays))
+    if not np.abs(np.abs(sched.phases) - 1.0).max() <= _UNIT_TOL:
+        raise ValueError("every phase entry must have unit modulus")
+
+
 @dataclass(frozen=True)
 class ObservationSet:
     """Received training data; the noise variance stays with synthesis.
 
     ``values`` is (k,) of scalars in the downlink and (k, n_bs, t_symbols)
-    of received blocks in the uplink. Non-finite values raise ``ValueError``
-    here, so every estimator rejects bad data before it starts.
+    of received blocks in the uplink. Values that are not a finite ndarray raise
+    ``ValueError`` here, so every estimator rejects bad data before it starts.
     """
 
     values: np.ndarray
 
     def __post_init__(self):
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("observations must be finite (NaN or inf in values)")
+        if not (isinstance(self.values, np.ndarray) and np.isfinite(self.values).all()):
+            raise ValueError("observations must be a finite ndarray (no NaN or inf in values)")
 
 
 def _observation(clean: np.ndarray, noise_var: float, rng) -> ObservationSet:
@@ -173,20 +172,24 @@ def _observation(clean: np.ndarray, noise_var: float, rng) -> ObservationSet:
     _check_variance(noise_var, "noise_var")
     if noise_var == 0.0:
         return ObservationSet(values=np.ascontiguousarray(clean))
-    if rng is None:
-        raise ValueError("noisy observation needs an rng")
     noise = complex_normal(rng, clean.shape, var=noise_var)
     return ObservationSet(values=np.add(noise, clean, out=noise))
 
 
 def random_pilots(n_bs: int, k: int, rng: np.random.Generator) -> np.ndarray:
     """K unit-norm pilots, i.i.d. complex Gaussian directions, shape (k, n_bs)."""
+    if not (_is_count(n_bs) and _is_count(k)):
+        raise ValueError(f"random_pilots needs positive integer counts, got {n_bs!r} and {k!r}")
     x = complex_normal(rng, (k, n_bs))
     return x / np.linalg.norm(x, axis=1, keepdims=True)
 
 
 def random_phase_schedule(m_ris: int, k: int, rng: np.random.Generator) -> np.ndarray:
     """K unit-modulus RIS phase vectors with i.i.d. uniform phases, shape (k, m_ris)."""
+    _require("random_phase_schedule", (rng, np.random.Generator))
+    if not (_is_count(m_ris) and _is_count(k)):
+        raise ValueError(f"random_phase_schedule needs positive integer counts, got {m_ris!r} "
+                         f"and {k!r}")
     return np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=(k, m_ris)))
 
 
@@ -197,8 +200,8 @@ def dft_phase_schedule(m_ris: int, k: int) -> np.ndarray:
     columns stay orthogonal: ``theta^H theta = k I``, the training design that
     meets the MSE lower bound.
     """
-    if k < m_ris:
-        raise ValueError(f"DFT schedule needs k >= m_ris, got k={k}, m_ris={m_ris}")
+    if not (_is_count(m_ris) and _is_count(k) and k >= m_ris):
+        raise ValueError(f"DFT schedule needs counts k >= m_ris, got k={k!r}, m_ris={m_ris!r}")
     grid = np.outer(np.arange(k), np.arange(m_ris))
     return np.exp(-2j * np.pi * grid / k)
 
@@ -223,6 +226,7 @@ def orthogonal_user_pilots(q_users: int, t_symbols: int) -> np.ndarray:
 
 def make_pilot_schedule(dims: SystemDims, rng: np.random.Generator) -> PilotSchedule:
     """Random unit-norm pilots, then random RIS phases, both drawn from ``rng``."""
+    _require("make_pilot_schedule", (dims, SystemDims))
     pilots = random_pilots(dims.n_bs, dims.k_pilots, rng)
     return PilotSchedule(pilots, random_phase_schedule(dims.m_ris, dims.k_pilots, rng))
 
@@ -235,6 +239,7 @@ def make_uplink_schedule(dims: SystemDims) -> UplinkSchedule:
     it is read-only: writing to its arrays raises ``ValueError``;
     copy them to build a modified schedule.
     """
+    _require("make_uplink_schedule", (dims, SystemDims))
     return _dft_uplink_schedule(dims.m_ris, dims.k_pilots, dims.q_users, dims.t_symbols)
 
 
@@ -259,7 +264,7 @@ def downlink_observe(
     under the unit-norm pilot convention), finite and >= 0, checked before any
     draw; ``noise_var = 0`` gives the exact model output and needs no ``rng``.
     """
-    _require_schedule(sched, PilotSchedule, "downlink_observe")
+    _require("downlink_observe", (chan, CascadedChannel), (sched, PilotSchedule))
     if chan.uplink:
         raise ValueError("downlink_observe needs a downlink cascade")
     return _observation(_downlink_forward(sched, chan.h_e), noise_var, rng)
@@ -302,13 +307,6 @@ def _downlink_adjoint(sched: PilotSchedule, values: np.ndarray) -> np.ndarray:
     return blas.zgemm(1.0, weighted.T, sched.phases.T, trans_b=2).T
 
 
-def _require_schedule(sched, kind: type, caller: str) -> None:
-    """Raise ``ValueError`` naming ``kind`` unless ``sched`` is one."""
-    if not isinstance(sched, kind):
-        article = "an" if kind.__name__[0] in "AEIOU" else "a"
-        raise ValueError(f"{caller} needs {article} {kind.__name__}, got {type(sched).__name__}")
-
-
 def uplink_observe(
     g_uplink: np.ndarray,
     h_users: np.ndarray,
@@ -324,9 +322,9 @@ def uplink_observe(
     ``R_k`` is ``g (theta_k * w_t)`` with ``w_t = sum_q x_q[t] h_q``, so
     every block comes out of one (k t, m_ris) by (m_ris, n_bs) product.
     """
-    _require_schedule(sched, UplinkSchedule, "uplink_observe")
+    _require("uplink_observe", (g_uplink, np.ndarray), (sched, UplinkSchedule))
     k, m_ris = sched.phases.shape
-    if np.ndim(g_uplink) != 2 or g_uplink.shape[1] != m_ris or (
+    if g_uplink.ndim != 2 or g_uplink.shape[1] != m_ris or (
         np.shape(h_users) != (sched.q_users, m_ris)
     ):
         raise ValueError(
@@ -349,7 +347,7 @@ def despread(obs: ObservationSet, sched: UplinkSchedule) -> np.ndarray:
     variance ``noise_var / T`` per entry. One (k n_bs, T) by (T, q_users)
     product computes every entry; the result is a transposed view of it.
     """
-    _require_schedule(sched, UplinkSchedule, "despread")
+    _require("despread", (obs, ObservationSet), (sched, UplinkSchedule))
     (k, _), (q_users, t_symbols) = sched.phases.shape, sched.user_pilots.shape
     values = obs.values
     if values.ndim != 3 or values.shape[0] != k or values.shape[2] != t_symbols:

@@ -462,6 +462,14 @@ class TestPersistence:
         write_results([], out)
         assert out.read_text() == CSV_HEADER + "\n"
 
+    def test_records_from_a_generator_are_all_written(self, tmp_path):
+        # write_results validates every record before it writes one
+        records = [ResultRecord("single_user_downlink", "LS", 0.0, 3, trial, 17, 0.5, None)
+                   for trial in range(2)]
+        out = tmp_path / "gen.csv"
+        write_results(iter(records), out)
+        assert read_records(out) == records
+
     def test_infeasible_token(self, tmp_path):
         record = ResultRecord("single_user_downlink", "LS", 0.0, 3, 0, 17, None, None)
         out = tmp_path / "marked.csv"
